@@ -25,7 +25,8 @@
 //! logical-CPU count (`host_parallelism`); a fresh file generated on a
 //! host with a different core count than the baseline is refused outright —
 //! the floors are calibrated per host and a cross-core comparison would
-//! quietly turn the guard into noise.
+//! quietly turn the guard into noise. A refused file and a failed floor end
+//! with different closing messages, so a failure names its real cause.
 //!
 //! Environment:
 //!
@@ -53,26 +54,44 @@ fn tolerance() -> f64 {
         .unwrap_or(0.25)
 }
 
+/// Why a fresh bench file failed its check.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    /// The file could not be compared with its baseline, so no floor was
+    /// evaluated: an unreadable file, a different workload, host core count
+    /// or layout, or an axis the baseline carries that stopped reporting.
+    Refused(String),
+    /// A throughput floor failed.
+    Regression(String),
+}
+
+use Failure::{Refused, Regression};
+
 /// Check one fresh bench file against its baseline; `Ok(line)` describes the
-/// comparison, `Err(line)` a regression or an unreadable file.
-fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<String, String> {
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh bench file {}: {e}", fresh_path.display()))?;
+/// comparison.
+fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<String, Failure> {
+    let fresh = std::fs::read_to_string(fresh_path).map_err(|e| {
+        Refused(format!("cannot read fresh bench file {}: {e}", fresh_path.display()))
+    })?;
     let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-    let name = benchjson::benchmark_name(&fresh).unwrap_or("unknown-benchmark").to_string();
+        .map_err(|e| Refused(format!("cannot read baseline {}: {e}", baseline_path.display())))?;
+    compare(&fresh, &baseline, tolerance)
+}
+
+/// Compare the contents of a fresh bench file with its baseline.
+fn compare(fresh: &str, baseline: &str, tolerance: f64) -> Result<String, Failure> {
+    let name = benchjson::benchmark_name(fresh).unwrap_or("unknown-benchmark").to_string();
     // A throughput comparison is only meaningful over the same workload:
     // different rows/k/candidate counts shift rows_per_sec for workload
     // reasons and would silently mask (or fake) real regressions.
     for field in ["rows", "k", "candidates", "tables", "detect_rounds", "conn_requests"] {
-        let (f, b) =
-            (benchjson::top_metric(&fresh, field), benchjson::top_metric(&baseline, field));
+        let (f, b) = (benchjson::top_metric(fresh, field), benchjson::top_metric(baseline, field));
         if let (Some(f), Some(b)) = (f, b) {
             if f != b {
-                return Err(format!(
+                return Err(Refused(format!(
                     "{name}: workload mismatch — fresh {field}={f} vs baseline {field}={b}; \
                      regenerate the baseline with the same bench parameters"
-                ));
+                )));
             }
         }
     }
@@ -83,21 +102,21 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // records the count while the fresh file reports none means the bench
     // stopped recording it — the guard must never deactivate silently.
     match (
-        benchjson::top_metric(&fresh, "host_parallelism"),
-        benchjson::top_metric(&baseline, "host_parallelism"),
+        benchjson::top_metric(fresh, "host_parallelism"),
+        benchjson::top_metric(baseline, "host_parallelism"),
     ) {
         (Some(f), Some(b)) if f != b => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: host core-count mismatch — fresh host_parallelism={f} vs baseline \
                  host_parallelism={b}; throughput floors are not comparable across core \
                  counts, regenerate the baseline on this host"
-            ));
+            )));
         }
         (None, Some(b)) => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: the baseline records host_parallelism={b} but the fresh file \
                  reports none — the bench stopped recording the host core count"
-            ));
+            )));
         }
         _ => {}
     }
@@ -105,18 +124,18 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // comparable against a columnar baseline. A baseline that records a
     // layout the fresh file no longer reports means the layout axis stopped
     // reporting — the guard must never deactivate silently.
-    match (benchjson::top_string(&fresh, "layout"), benchjson::top_string(&baseline, "layout")) {
+    match (benchjson::top_string(fresh, "layout"), benchjson::top_string(baseline, "layout")) {
         (Some(f), Some(b)) if f != b => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: layout mismatch — fresh \"{f}\" vs baseline \"{b}\"; the throughput \
                  floors below are calibrated per layout, regenerate the baseline"
-            ));
+            )));
         }
         (None, Some(b)) => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: the baseline records a \"{b}\" table layout but the fresh file \
                  reports none — the layout axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -124,15 +143,17 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // reports requests_per_sec. Guard whichever the file carries.
     let (metric, unit) = ["rows_per_sec", "requests_per_sec"]
         .iter()
-        .find(|m| benchjson::thread_metric(&fresh, 1, m).is_some())
+        .find(|m| benchjson::thread_metric(fresh, 1, m).is_some())
         .map(|&m| (m, if m == "rows_per_sec" { "rows/s" } else { "req/s" }))
         .ok_or_else(|| {
-            format!("{name}: fresh file has no 1-thread rows_per_sec or requests_per_sec entry")
+            Refused(format!(
+                "{name}: fresh file has no 1-thread rows_per_sec or requests_per_sec entry"
+            ))
         })?;
-    let fresh_1t = benchjson::thread_metric(&fresh, 1, metric)
-        .ok_or_else(|| format!("{name}: fresh file has no 1-thread {metric} entry"))?;
-    let base_1t = benchjson::thread_metric(&baseline, 1, metric)
-        .ok_or_else(|| format!("{name}: baseline has no 1-thread {metric} entry"))?;
+    let fresh_1t = benchjson::thread_metric(fresh, 1, metric)
+        .ok_or_else(|| Refused(format!("{name}: fresh file has no 1-thread {metric} entry")))?;
+    let base_1t = benchjson::thread_metric(baseline, 1, metric)
+        .ok_or_else(|| Refused(format!("{name}: baseline has no 1-thread {metric} entry")))?;
     let floor = base_1t * (1.0 - tolerance);
     let ratio = fresh_1t / base_1t;
     let mut line = format!(
@@ -141,7 +162,7 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
         ratio * 100.0
     );
     if fresh_1t < floor {
-        return Err(format!("REGRESSION — {line}"));
+        return Err(Regression(format!("REGRESSION — {line}")));
     }
     // The serving-layer bench also carries a durable-store axis; hold the
     // fsync-batched path to the same trajectory so a persistence-layer
@@ -150,8 +171,8 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // the guard must never deactivate silently.
     let durable = "durable_requests_per_sec";
     match (
-        benchjson::thread_metric(&fresh, 1, durable),
-        benchjson::thread_metric(&baseline, 1, durable),
+        benchjson::thread_metric(fresh, 1, durable),
+        benchjson::thread_metric(baseline, 1, durable),
     ) {
         (Some(fresh_d), Some(base_d)) => {
             let floor_d = base_d * (1.0 - tolerance);
@@ -160,14 +181,14 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                 fresh_d / base_d * 100.0
             ));
             if fresh_d < floor_d {
-                return Err(format!("REGRESSION (durable axis) — {line}"));
+                return Err(Regression(format!("REGRESSION (durable axis) — {line}")));
             }
         }
         (None, Some(_)) => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: the baseline carries a 1-thread {durable} entry but the fresh \
                  file does not — the persistence axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -177,8 +198,8 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // behind the per-worker metrics. As with the durable axis, a baseline
     // that carries the entry while the fresh file does not is a failure.
     match (
-        benchjson::axis_metric(&fresh, "connections", 1024, "requests_per_sec"),
-        benchjson::axis_metric(&baseline, "connections", 1024, "requests_per_sec"),
+        benchjson::axis_metric(fresh, "connections", 1024, "requests_per_sec"),
+        benchjson::axis_metric(baseline, "connections", 1024, "requests_per_sec"),
     ) {
         (Some(fresh_c), Some(base_c)) => {
             let floor_c = base_c * (1.0 - tolerance);
@@ -187,14 +208,14 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                 fresh_c / base_c * 100.0
             ));
             if fresh_c < floor_c {
-                return Err(format!("REGRESSION (connections axis) — {line}"));
+                return Err(Regression(format!("REGRESSION (connections axis) — {line}")));
             }
         }
         (None, Some(_)) => {
-            return Err(format!(
+            return Err(Refused(format!(
                 "{name}: the baseline carries a 1024-connection requests_per_sec entry but \
                  the fresh file does not — the connections axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -206,8 +227,8 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // entries while the fresh file does not is itself a failure.
     for tracing_metric in ["protect_for_per_sec", "resolve_leaker_per_sec"] {
         match (
-            benchjson::axis_metric(&fresh, "recipients", 16, tracing_metric),
-            benchjson::axis_metric(&baseline, "recipients", 16, tracing_metric),
+            benchjson::axis_metric(fresh, "recipients", 16, tracing_metric),
+            benchjson::axis_metric(baseline, "recipients", 16, tracing_metric),
         ) {
             (Some(fresh_r), Some(base_r)) => {
                 let floor_r = base_r * (1.0 - tolerance);
@@ -217,15 +238,15 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                     fresh_r / base_r * 100.0
                 ));
                 if fresh_r < floor_r {
-                    return Err(format!("REGRESSION (recipients axis) — {line}"));
+                    return Err(Regression(format!("REGRESSION (recipients axis) — {line}")));
                 }
             }
             (None, Some(_)) => {
-                return Err(format!(
+                return Err(Refused(format!(
                     "{name}: the baseline carries a 16-recipient {tracing_metric} entry but \
                      the fresh file does not — the recipients axis of the bench stopped \
                      reporting"
-                ));
+                )));
             }
             _ => {}
         }
@@ -254,26 +275,109 @@ fn main() -> ExitCode {
 
     let dir = baseline_dir();
     let tolerance = tolerance();
-    let mut failed = false;
+    let (mut refused, mut regressed) = (false, false);
     for fresh in &fresh_files {
         let file_name = fresh.file_name().expect("bench paths name a file");
         let baseline = dir.join(file_name);
         match check(fresh, &baseline, tolerance) {
             Ok(line) => println!("ok: {line}"),
-            Err(line) => {
+            Err(Refused(line)) => {
                 eprintln!("error: {line}");
-                failed = true;
+                refused = true;
+            }
+            Err(Regression(line)) => {
+                eprintln!("error: {line}");
+                regressed = true;
             }
         }
     }
-    if failed {
+    if regressed {
         eprintln!(
             "throughput fell more than {:.0}% below the committed baseline; \
              refresh crates/bench/baselines/ if the drop is intended",
             tolerance * 100.0
         );
+    }
+    if refused {
+        eprintln!(
+            "a fresh file was refused before any throughput floor was checked: it does not \
+             match its baseline's workload, host core count or layout, or it stopped \
+             reporting an axis the baseline carries; rerun the bench to match the baseline, \
+             or regenerate the baseline on this host class"
+        );
+    }
+    if refused || regressed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = r#"{
+  "benchmark": "protection-engine-throughput",
+  "layout": "columnar",
+  "rows": 8000,
+  "host_parallelism": 2,
+  "threads": [
+    {"threads": 1, "rows_per_sec": 1000.0, "durable_requests_per_sec": 500.0}
+  ]
+}
+"#;
+
+    fn refusal(fresh: &str) -> String {
+        match compare(fresh, BASELINE, 0.25) {
+            Err(Refused(line)) => line,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn matching_file_passes_and_a_slow_one_is_a_regression() {
+        assert!(compare(BASELINE, BASELINE, 0.25).is_ok());
+        let slow = BASELINE.replace("\"rows_per_sec\": 1000.0", "\"rows_per_sec\": 700.0");
+        assert!(matches!(compare(&slow, BASELINE, 0.25), Err(Regression(_))));
+        let slow_durable = BASELINE
+            .replace("\"durable_requests_per_sec\": 500.0", "\"durable_requests_per_sec\": 300.0");
+        assert!(matches!(compare(&slow_durable, BASELINE, 0.25), Err(Regression(_))));
+    }
+
+    #[test]
+    fn unreadable_file_is_refused() {
+        let missing = Path::new("no-such-dir/BENCH_missing.json");
+        assert!(matches!(check(missing, missing, 0.25), Err(Refused(_))));
+    }
+
+    #[test]
+    fn workload_mismatch_is_refused() {
+        let fresh = BASELINE.replace("\"rows\": 8000", "\"rows\": 6000");
+        assert!(refusal(&fresh).contains("workload mismatch"));
+    }
+
+    #[test]
+    fn core_count_mismatch_is_refused() {
+        let fresh = BASELINE.replace("\"host_parallelism\": 2", "\"host_parallelism\": 4");
+        assert!(refusal(&fresh).contains("core-count mismatch"));
+        let fresh = BASELINE.replace("  \"host_parallelism\": 2,\n", "");
+        assert!(refusal(&fresh).contains("stopped recording the host core count"));
+    }
+
+    #[test]
+    fn layout_mismatch_is_refused() {
+        let fresh = BASELINE.replace("\"columnar\"", "\"row\"");
+        assert!(refusal(&fresh).contains("layout mismatch"));
+        let fresh = BASELINE.replace("  \"layout\": \"columnar\",\n", "");
+        assert!(refusal(&fresh).contains("layout axis of the bench stopped reporting"));
+    }
+
+    #[test]
+    fn missing_axis_is_refused() {
+        let fresh = BASELINE.replace(", \"durable_requests_per_sec\": 500.0", "");
+        assert!(refusal(&fresh).contains("persistence axis of the bench stopped reporting"));
+        let fresh = BASELINE.replace("\"rows_per_sec\"", "\"other_per_sec\"");
+        assert!(refusal(&fresh).contains("no 1-thread rows_per_sec or requests_per_sec"));
     }
 }

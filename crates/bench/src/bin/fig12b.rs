@@ -20,10 +20,10 @@ fn main() {
     println!("{:>16} {:>8} {:>8} {:>8}", "data addition %", "η=50", "η=75", "η=100");
     let mut rows: Vec<Vec<f64>> = vec![Vec::new(); fractions.len()];
     for &eta in &etas {
-        let (pipeline, release) = protect_per_attribute(&dataset, 10, eta);
+        let (engine, release) = protect_per_attribute(&dataset, 10, eta);
         for (fi, &fraction) in fractions.iter().enumerate() {
             let attacked = SubsetAddition::new(fraction, 404 + fi as u64).apply(&release.table);
-            let detection = pipeline
+            let detection = engine
                 .detect(&attacked, &release.binning.columns, &dataset.trees)
                 .expect("detection runs on attacked data");
             rows[fi].push(mark_loss(release.mark.bits(), &detection.mark) * 100.0);

@@ -25,7 +25,7 @@ fn main() {
         "η", "cells permuted %", "binning info loss %", "extra info loss %"
     );
     for &eta in &etas {
-        let (_pipeline, release) = protect_per_attribute(&dataset, 10, eta);
+        let (_engine, release) = protect_per_attribute(&dataset, 10, eta);
         let total_cells = (dataset.table.len() * release.binning.columns.len()) as f64;
         let permuted = release.embedding.changed_cells as f64 / total_cells * 100.0;
 

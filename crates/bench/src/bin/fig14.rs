@@ -23,7 +23,7 @@ fn main() {
         "k", columns[0], columns[1], columns[2], columns[3], columns[4]
     );
     for &k in &ks {
-        let (_pipeline, release) = protect_per_attribute(&dataset, k, 100);
+        let (_engine, release) = protect_per_attribute(&dataset, k, 100);
         let reports = measure_interference(&release.binning.table, &release.table, k)
             .expect("interference measurable");
         let by_name: std::collections::BTreeMap<_, _> = reports.into_iter().collect();
@@ -39,7 +39,7 @@ fn main() {
     println!("paper shape: many bins change size, essentially none drop below k.");
 
     // Analytic §6 probabilities (Lemmas 1 and 2) for the k = 10 run.
-    let (_pipeline, release) = protect_per_attribute(&dataset, 10, 100);
+    let (_engine, release) = protect_per_attribute(&dataset, 10, 100);
     println!("\nLemma 1/2 (k=10): per column, probability that one bit-embedding shrinks");
     println!("(Pr-) or grows (Pr+) a particular bin — equal by the seamlessness argument:");
     for a in analytic_interference(&release.binning.columns, &dataset.trees) {

@@ -7,7 +7,7 @@
 use medshield_attacks::{Attack, GeneralizationAttack};
 use medshield_bench::{experiment_dataset, print_figure_header, protect_per_attribute};
 use medshield_core::metrics::mark_loss;
-use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
+use medshield_core::watermark::{Mark, WatermarkConfig, WatermarkKey, Watermarker};
 
 fn main() {
     let dataset = experiment_dataset();
@@ -16,16 +16,17 @@ fn main() {
         "generalization attack vs single-level and hierarchical watermarking",
     );
 
-    let (pipeline, release) = protect_per_attribute(&dataset, 10, 50);
+    let (engine, release) = protect_per_attribute(&dataset, 10, 50);
 
     // Single-level baseline with its own key, embedded into the same binned
     // table.
     let key = WatermarkKey::from_master(b"single-level-baseline", 50);
-    let single = SingleLevelWatermarker::new(WatermarkConfig::new(key));
+    let single = Watermarker::single_level(WatermarkConfig::new(key));
     let mark = Mark::from_bytes(b"single-level-baseline", 20);
     let single_marked = single
         .embed(&release.binning, &dataset.trees, &mark)
-        .expect("single-level embedding succeeds");
+        .expect("single-level embedding succeeds")
+        .0;
 
     println!("{:>22} {:>22} {:>22}", "attack levels", "single-level loss %", "hierarchical loss %");
     for levels in 0usize..=3 {
@@ -37,8 +38,9 @@ fn main() {
         };
         let single_detected = single
             .detect(&single_table, &release.binning.columns, &dataset.trees, mark.len())
-            .expect("single-level detection runs");
-        let hier_detected = pipeline
+            .expect("single-level detection runs")
+            .mark;
+        let hier_detected = engine
             .detect(&hier_table, &release.binning.columns, &dataset.trees)
             .expect("hierarchical detection runs");
         println!(

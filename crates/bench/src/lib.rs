@@ -36,7 +36,7 @@
 
 use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::{table_info_loss, ColumnGeneralization};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use std::collections::BTreeMap;
 
@@ -70,9 +70,9 @@ pub fn root_usage_metrics(dataset: &MedicalDataset) -> BTreeMap<String, Generali
         .collect()
 }
 
-/// Build the standard pipeline used by the watermarking experiments.
-pub fn experiment_pipeline(k: usize, eta: u64) -> ProtectionPipeline {
-    ProtectionPipeline::new(
+/// Build the standard engine used by the watermarking experiments.
+pub fn experiment_engine(k: usize, eta: u64) -> ProtectionEngine {
+    ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(k)
             .epsilon(2)
@@ -84,18 +84,18 @@ pub fn experiment_pipeline(k: usize, eta: u64) -> ProtectionPipeline {
     )
 }
 
-/// Protect the experiment data set with the standard pipeline (full
+/// Protect the experiment data set with the standard engine (full
 /// multi-attribute k-anonymity).
 pub fn protect(
     dataset: &MedicalDataset,
     k: usize,
     eta: u64,
-) -> (ProtectionPipeline, ProtectedRelease) {
-    let pipeline = experiment_pipeline(k, eta);
-    let release = pipeline
+) -> (ProtectionEngine, ProtectedRelease) {
+    let engine = experiment_engine(k, eta);
+    let release = engine
         .protect(&dataset.table, &dataset.trees)
         .expect("the synthetic experiment data are binnable");
-    (pipeline, release)
+    (engine, release)
 }
 
 /// Protect the experiment data set enforcing k-anonymity per attribute only —
@@ -107,12 +107,12 @@ pub fn protect_per_attribute(
     dataset: &MedicalDataset,
     k: usize,
     eta: u64,
-) -> (ProtectionPipeline, ProtectedRelease) {
-    let pipeline = experiment_pipeline(k, eta);
-    let release = pipeline
+) -> (ProtectionEngine, ProtectedRelease) {
+    let engine = experiment_engine(k, eta);
+    let release = engine
         .protect_per_attribute(&dataset.table, &dataset.trees)
         .expect("the synthetic experiment data are binnable per attribute");
-    (pipeline, release)
+    (engine, release)
 }
 
 /// Normalized information loss (Eq. 3) of a set of per-column generalizations

@@ -1,12 +1,10 @@
 //! Configuration of the binning agent: the k-anonymity specification and the
 //! algorithmic knobs the paper discusses as design alternatives.
 
-use serde::{Deserialize, Serialize};
-
 /// The k-anonymity specification (§3): the parameter k, plus the ε safety
 /// margin of §6 used to absorb the (bounded) interference of watermarking
 /// with bin sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KAnonymitySpec {
     /// Every bin must contain at least `k` records.
     pub k: usize,
@@ -47,7 +45,7 @@ impl KAnonymitySpec {
 
 /// How mono-attribute binning decides that a node is a *minimal*
 /// generalization node (§4.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinimalNodeStrategy {
     /// The paper's simple rationale: a node is minimal if it satisfies
     /// k-anonymity but **not all** of its children do. May over-generalize.
@@ -62,7 +60,7 @@ pub enum MinimalNodeStrategy {
 
 /// How multi-attribute binning scores candidate generalizations when choosing
 /// the ultimate generalization (§4.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// The paper's preferred estimate: specificity loss `(N − Ng)/N` per
     /// tree, summed over columns. Cheap but approximate.
@@ -74,7 +72,7 @@ pub enum SelectionStrategy {
 }
 
 /// Complete configuration of the binning agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinningConfig {
     /// The k-anonymity specification.
     pub spec: KAnonymitySpec,

@@ -2,9 +2,9 @@
 //! must retain durably: per-column binning sets, the mark, the ownership
 //! proof.
 //!
-//! The workspace builds hermetically (the `serde` dependency is a no-op
-//! shim), so persistence cannot lean on derived serialization. This module
-//! provides the hand-rolled alternative: little-endian fixed-width
+//! The workspace builds hermetically, with no serialization framework, so
+//! persistence cannot lean on derived serialization. This module provides
+//! the hand-rolled alternative: little-endian fixed-width
 //! primitives, `u32`-length-prefixed byte strings, and explicit
 //! `write_*`/`read_*` pairs for the three protection-state types. Every
 //! reader is **total** — malformed or truncated input yields a

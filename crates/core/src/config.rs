@@ -1,13 +1,12 @@
-//! Configuration of the end-to-end protection pipeline.
+//! Configuration of the end-to-end protection engine.
 
 use medshield_binning::{BinningConfig, KAnonymitySpec, MinimalNodeStrategy, SelectionStrategy};
 use medshield_watermark::{WatermarkConfig, WatermarkKey};
-use serde::{Deserialize, Serialize};
 
-/// Complete configuration of [`crate::ProtectionPipeline`]: the k-anonymity
+/// Complete configuration of [`crate::ProtectionEngine`]: the k-anonymity
 /// specification and binning knobs, the watermarking key and embedding knobs,
 /// and the owner's mark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectionConfig {
     /// Binning agent configuration (§4).
     pub binning: BinningConfig,
@@ -17,7 +16,7 @@ pub struct ProtectionConfig {
     pub mark_len: usize,
     /// Free-text seed of the owner's mark when it is not derived from the
     /// identifying-column statistic (the rightful-ownership protocol derives
-    /// it from the data instead; see [`crate::ProtectionPipeline::protect`]).
+    /// it from the data instead; see [`crate::ProtectionEngine::protect`]).
     pub mark_text: String,
     /// Derive the mark from the identifying-column statistic (`F(v)`, §5.4)
     /// instead of from `mark_text`. This is what makes the ownership dispute

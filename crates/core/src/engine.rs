@@ -39,9 +39,7 @@ use medshield_dht::{DomainHierarchyTree, GeneralizationSet};
 use medshield_relation::Table;
 use medshield_watermark::hierarchical::{DetectionTally, EmbeddingReport};
 use medshield_watermark::ownership::{self, OwnershipProof, OwnershipVerdict};
-use medshield_watermark::{
-    DetectionReport, EmbedChunk, HierarchicalWatermarker, Mark, WatermarkError,
-};
+use medshield_watermark::{DetectionReport, EmbedChunk, Mark, WatermarkError, Watermarker};
 use std::collections::BTreeMap;
 use std::thread;
 
@@ -116,7 +114,7 @@ pub struct ProtectedRelease {
 pub struct ProtectionEngine {
     config: ProtectionConfig,
     binning_agent: BinningAgent,
-    watermarker: HierarchicalWatermarker,
+    watermarker: Watermarker,
     threads: usize,
 }
 
@@ -136,11 +134,12 @@ impl ProtectionEngine {
         let mut config = config;
         config.binning.threads = threads;
         let binning_agent = BinningAgent::new(config.binning.clone());
-        let watermarker = HierarchicalWatermarker::new(config.watermark.clone());
+        let watermarker = Watermarker::new(config.watermark.clone());
         Ok(ProtectionEngine { config, binning_agent, watermarker, threads })
     }
 
-    /// A single-threaded engine (the sequential pipeline).
+    /// A single-threaded engine: the strictly sequential reference the
+    /// chunk-parallel runs are pinned against.
     pub fn sequential(config: ProtectionConfig) -> Self {
         Self::new(config, 1).expect("one worker thread is always a valid count")
     }
@@ -174,8 +173,8 @@ impl ProtectionEngine {
         &self.binning_agent
     }
 
-    /// The watermarking agent.
-    pub fn watermarker(&self) -> &HierarchicalWatermarker {
+    /// The watermarking agent (always the hierarchical scheme).
+    pub fn watermarker(&self) -> &Watermarker {
         &self.watermarker
     }
 
@@ -376,6 +375,7 @@ impl ProtectionEngine {
 mod tests {
     use super::*;
     use medshield_datagen::{DatasetConfig, MedicalDataset};
+    use medshield_metrics::mark_loss;
     use medshield_relation::csv;
 
     fn dataset(n: usize) -> MedicalDataset {
@@ -384,6 +384,19 @@ mod tests {
 
     fn config(k: usize, eta: u64) -> ProtectionConfig {
         ProtectionConfig::builder().k(k).eta(eta).duplication(2).mark_text("Engine Owner").build()
+    }
+
+    fn city_hospital(k: usize, eta: u64) -> ProtectionEngine {
+        ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(k)
+                .eta(eta)
+                // Small data sets leave only a modest bandwidth channel, so
+                // keep the extended mark short enough for full coverage.
+                .duplication(2)
+                .mark_text("City Hospital")
+                .build(),
+        )
     }
 
     #[test]
@@ -488,5 +501,179 @@ mod tests {
             let report = engine.detect(&empty, &real.binning.columns, &ds.trees).unwrap();
             assert_eq!(report.selected_tuples, 0);
         }
+    }
+
+    #[test]
+    fn protect_then_detect_roundtrip() {
+        let ds = dataset(1000);
+        let p = city_hospital(4, 5);
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        assert!(release.binning.satisfied);
+        assert!(release.embedding.embedded_cells > 0);
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        assert_eq!(detection.mark, release.mark.bits());
+    }
+
+    #[test]
+    fn statistic_derived_mark_supports_dispute_resolution() {
+        let ds = dataset(1000);
+        let p = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(5)
+                .duplication(2)
+                .mark_from_statistic(true)
+                .build(),
+        );
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        let proof = release.ownership.clone().expect("statistic-derived mark carries a proof");
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        let verdict = p.resolve_ownership(
+            &proof,
+            &release.table,
+            "ssn",
+            &detection.mark,
+            proof.statistic.abs() * 0.05 + 1.0,
+            0.2,
+        );
+        assert!(verdict.accepted, "{verdict:?}");
+    }
+
+    #[test]
+    fn attacker_without_keys_is_rejected_in_dispute() {
+        let ds = dataset(600);
+        let owner = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(8)
+                .mark_from_statistic(true)
+                .encryption_secret(b"owner-enc".to_vec())
+                .watermark_secret(b"owner-wm".to_vec())
+                .build(),
+        );
+        let release = owner.protect(&ds.table, &ds.trees).unwrap();
+
+        // The attacker claims the release as his own, with his own engine
+        // (different keys) and a fabricated statistic.
+        let attacker = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(8)
+                .mark_from_statistic(true)
+                .encryption_secret(b"attacker-enc".to_vec())
+                .watermark_secret(b"attacker-wm".to_vec())
+                .build(),
+        );
+        let bogus_proof = OwnershipProof { statistic: 123456.0, mark_len: 20 };
+        let detection =
+            attacker.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        let verdict = attacker.resolve_ownership(
+            &bogus_proof,
+            &release.table,
+            "ssn",
+            &detection.mark,
+            1000.0,
+            0.2,
+        );
+        assert!(!verdict.accepted);
+    }
+
+    #[test]
+    fn mark_survives_without_attack_at_various_eta() {
+        let ds = dataset(2500);
+        for eta in [5u64, 10, 20] {
+            let p = city_hospital(4, eta);
+            let release = p.protect(&ds.table, &ds.trees).unwrap();
+            let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+            let loss = mark_loss(release.mark.bits(), &detection.mark);
+            assert_eq!(loss, 0.0, "eta={eta}");
+        }
+    }
+
+    #[test]
+    fn per_attribute_protection_roundtrips_and_keeps_columns_anonymous() {
+        let ds = dataset(1500);
+        let p = city_hospital(6, 10);
+        let release = p.protect_per_attribute(&ds.table, &ds.trees).unwrap();
+        for column in release.table.schema().quasi_names() {
+            assert!(
+                medshield_metrics::column_satisfies_k(&release.binning.table, column, 6).unwrap(),
+                "column {column}"
+            );
+        }
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        assert_eq!(detection.mark, release.mark.bits());
+        // Per-attribute binning leaves plenty of bandwidth: most selected
+        // cells should actually carry a bit.
+        assert!(release.embedding.embedded_cells > release.embedding.skipped_cells);
+    }
+
+    #[test]
+    fn explicit_usage_metrics_are_respected() {
+        let ds = dataset(500);
+        let p = city_hospital(3, 10);
+        // Usage metrics: depth-1 maximal nodes for every column.
+        let maximal: BTreeMap<String, GeneralizationSet> =
+            ds.trees.iter().map(|(n, t)| (n.clone(), GeneralizationSet::at_depth(t, 1))).collect();
+        let release = p.protect_with_metrics(&ds.table, &ds.trees, &maximal).unwrap();
+        for cb in &release.binning.columns {
+            let tree = &ds.trees[&cb.column];
+            assert!(cb.ultimate.is_at_or_below(tree, &maximal[&cb.column]).unwrap());
+            for v in release.table.column_values(&cb.column).unwrap() {
+                let node = tree.node_for_value(&v).unwrap();
+                assert!(maximal[&cb.column].covering_node(tree, node).is_ok());
+            }
+        }
+    }
+
+    /// §5.4 under fire: the rightful owner must still win a dispute over a
+    /// release mauled by a composition of the paper's attack models, and an
+    /// attacker presenting a fabricated statistic over the same mauled
+    /// release must still lose.
+    #[test]
+    fn dispute_resolves_correctly_on_mixed_attacked_release() {
+        use medshield_attacks::{Attack, MixedAttack, SubsetAlteration, SubsetDeletion};
+
+        let ds = dataset(1500);
+        let p = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(5)
+                .duplication(2)
+                .mark_from_statistic(true)
+                .build(),
+        );
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        let proof = release.ownership.clone().expect("statistic-derived mark carries a proof");
+
+        // A mild mixed attack: delete 10% of the tuples, then alter 5%.
+        let attack = MixedAttack::new()
+            .then(SubsetDeletion::random(0.10, 7))
+            .then(SubsetAlteration::new(0.05, 8));
+        let attacked = attack.apply(&release.table);
+        assert!(attacked.len() < release.table.len());
+
+        let detection = p.detect(&attacked, &release.binning.columns, &ds.trees).unwrap();
+        let tau = proof.statistic.abs() * 0.05 + 1.0;
+        let verdict = p.resolve_ownership(&proof, &attacked, "ssn", &detection.mark, tau, 0.25);
+        assert!(verdict.statistic_consistent, "{verdict:?}");
+        assert!(verdict.accepted, "owner must prevail on a mildly attacked release: {verdict:?}");
+
+        // The thief's claim over the very same attacked table: wrong statistic
+        // (he cannot decrypt the identifiers to compute the real one).
+        let bogus = OwnershipProof { statistic: proof.statistic + 10_000_000.0, mark_len: 20 };
+        let thief_verdict =
+            p.resolve_ownership(&bogus, &attacked, "ssn", &detection.mark, tau, 0.25);
+        assert!(!thief_verdict.accepted, "{thief_verdict:?}");
+    }
+
+    #[test]
+    fn pipeline_error_display() {
+        let e = PipelineError::NoIdentifyingColumn;
+        assert!(e.to_string().contains("identifying"));
+        let e = PipelineError::Binning(BinningError::InvalidK);
+        assert!(e.to_string().contains("binning failed"));
+        let e = PipelineError::Watermark(WatermarkError::EmptyMark);
+        assert!(e.to_string().contains("watermarking failed"));
     }
 }

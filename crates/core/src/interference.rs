@@ -91,12 +91,12 @@ pub fn measure_interference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProtectionConfig, ProtectionPipeline};
+    use crate::{ProtectionConfig, ProtectionEngine};
     use medshield_datagen::{DatasetConfig, MedicalDataset};
 
     fn protected(n: usize, k: usize, eta: u64) -> (MedicalDataset, crate::ProtectedRelease) {
         let ds = MedicalDataset::generate(&DatasetConfig::small(n));
-        let p = ProtectionPipeline::new(ProtectionConfig::builder().k(k).eta(eta).build());
+        let p = ProtectionEngine::sequential(ProtectionConfig::builder().k(k).eta(eta).build());
         let release = p.protect(&ds.table, &ds.trees).unwrap();
         (ds, release)
     }

@@ -30,8 +30,7 @@
 //!   that yields `u64` values, the form in which the rest of the framework
 //!   consumes `H(ti.ident, k) mod η`.
 //!
-//! The crate is `#![forbid(unsafe_code)]` and has no dependencies besides
-//! `serde` (for key serialization).
+//! The crate is `#![forbid(unsafe_code)]` and has no dependencies.
 //!
 //! ```
 //! use medshield_crypto::{hex, HashAlgorithm};
@@ -69,7 +68,7 @@ pub const SHA256_DIGEST_LEN: usize = 32;
 
 /// The hash algorithms available to the framework, mirroring the paper's
 /// "e.g. MD5 or SHA1" choice plus SHA-256 as a modern default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashAlgorithm {
     /// RFC 1321 MD5 (16-byte digest). Kept for fidelity with the paper.
     Md5,

@@ -15,7 +15,7 @@ use crate::hmac::HmacKey;
 use crate::HashAlgorithm;
 
 /// Which keyed-hash construction backs the PRF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrfAlgorithm {
     /// HMAC over the hash algorithm named by the paper (MD5/SHA-1) or SHA-256.
     Hmac(HashAlgorithm),

@@ -14,10 +14,9 @@
 use crate::error::DhtError;
 use crate::tree::{DomainHierarchyTree, NodeId};
 use medshield_relation::Value;
-use serde::{Deserialize, Serialize};
 
 /// A validated set of generalization nodes for one tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneralizationSet {
     nodes: Vec<NodeId>,
 }

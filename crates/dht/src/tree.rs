@@ -3,10 +3,9 @@
 
 use crate::error::DhtError;
 use medshield_relation::Value;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within its tree's arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Whether the tree generalizes a categorical or a numeric attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhtKind {
     /// Labels at the leaves, generalization to ancestor labels (Fig. 1).
     Categorical,
@@ -25,7 +24,7 @@ pub enum DhtKind {
 }
 
 /// One node of a domain hierarchy tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
@@ -62,7 +61,7 @@ impl Node {
 }
 
 /// A domain hierarchy tree for one quasi-identifying attribute.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DomainHierarchyTree {
     attribute: String,
     kind: DhtKind,

@@ -7,10 +7,9 @@
 //! binned table with the binned-and-watermarked table.
 
 use medshield_relation::{stats, RelationError, Table};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 14 triple for one attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinReport {
     /// Total number of bins of the attribute after watermarking (distinct
     /// values present in either table).

@@ -13,11 +13,10 @@
 
 use crate::info_loss::{column_info_loss, ColumnGeneralization, MetricsError};
 use medshield_relation::Table;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maximal allowable information loss, per column and on average (Eq. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageBounds {
     /// Per-column bounds `bd_i`, keyed by column name. Columns without an
     /// entry are bounded only by `bd_avg`.
@@ -80,7 +79,7 @@ impl UsageBounds {
 const EPS: f64 = 1e-9;
 
 /// Loss vs bound for one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnCheck {
     /// Measured information loss.
     pub loss: f64,
@@ -91,7 +90,7 @@ pub struct ColumnCheck {
 }
 
 /// Result of evaluating [`UsageBounds`] over a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageCheck {
     /// Per-column results.
     pub per_column: BTreeMap<String, ColumnCheck>,

@@ -10,10 +10,9 @@ use crate::error::RelationError;
 use crate::schema::Schema;
 use crate::table::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A boolean predicate over a single tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
     True,

@@ -8,10 +8,9 @@
 //! targets without extra configuration.
 
 use crate::error::RelationError;
-use serde::{Deserialize, Serialize};
 
 /// Privacy classification of a column (§2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnRole {
     /// Explicitly identifies an individual (e.g. SSN, name). Encrypted by the
     /// binning algorithm (Fig. 8) rather than suppressed, to keep records
@@ -40,7 +39,7 @@ impl ColumnRole {
 }
 
 /// A named, role-annotated column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (unique within a schema).
     pub name: String,
@@ -56,7 +55,7 @@ impl ColumnDef {
 }
 
 /// An ordered list of columns with unique names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

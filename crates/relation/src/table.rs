@@ -18,10 +18,9 @@ use crate::error::RelationError;
 use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A stable identifier for a tuple within one table instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId(pub u64);
 
 impl std::fmt::Display for TupleId {
@@ -34,7 +33,7 @@ impl std::fmt::Display for TupleId {
 ///
 /// With the columnar core this is a *view*, produced on demand; mutating a
 /// `Tuple` does not write back to the table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
     /// Stable id of this tuple.
     pub id: TupleId,
@@ -50,7 +49,7 @@ impl Tuple {
 }
 
 /// An in-memory relational table with columnar storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     ids: Vec<TupleId>,

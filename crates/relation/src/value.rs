@@ -5,12 +5,11 @@
 //! interval. Both generalized forms are first-class [`Value`] variants so the
 //! binned table remains a normal relational table.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A single cell value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// Absent / suppressed value.
     Null,

@@ -1,9 +1,8 @@
 //! A hand-rolled JSON encoder (and a small flat-object reader) for the wire
 //! protocol's report headers.
 //!
-//! The workspace builds hermetically — the `serde` dependency is a no-op
-//! shim — so the serving layer encodes its reports with this minimal,
-//! std-only writer instead. The reader side only needs to pick scalar fields
+//! The workspace builds hermetically, with no serialization framework, so
+//! the serving layer encodes its reports with this minimal, std-only writer. The reader side only needs to pick scalar fields
 //! (and arrays of strings) out of the *flat* objects this crate itself
 //! emits; it is not a general JSON parser.
 

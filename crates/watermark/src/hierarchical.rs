@@ -1,4 +1,5 @@
-//! The hierarchical watermarking scheme (Fig. 9 of the paper).
+//! The watermarking agent: the hierarchical scheme of Fig. 9 and, cut down
+//! to the ultimate level, the single-level baseline of §5.2.
 //!
 //! **Embedding**: for every keyed-selected tuple and every watermarked
 //! column, locate the value's ultimate generalization node, climb to its
@@ -17,9 +18,16 @@
 //! majority voting into one vote for the tuple's bit position; the votes per
 //! position are majority-combined into the extended mark `wmd`; the
 //! replicated copies inside `wmd` are folded by majority into the final mark.
+//!
+//! **Single-level baseline** ([`Watermarker::single_level`]): the bit is
+//! carried only by the parity of the chosen ultimate node's index within its
+//! sibling set. An attacker who further generalizes every value (still an
+//! allowable generalization under the maximal nodes) erases it without
+//! knowing the key — the hole the hierarchical scheme closes. It is kept as
+//! the comparison baseline of the generalization-attack ablation.
 
 use crate::error::WatermarkError;
-use crate::kernel::{hierarchical_cell_vote, DetectKernel, EmbedKernel, EmbedStyle};
+use crate::kernel::{DetectKernel, EmbedKernel, Scheme};
 use crate::key::{Mark, WatermarkConfig};
 use crate::plan::{DetectPlan, EmbedPlan};
 use crate::voting::VoteAccumulator;
@@ -146,16 +154,24 @@ impl DetectionTally {
     }
 }
 
-/// The hierarchical watermarking agent.
+/// The watermarking agent: one key configuration plus the scheme it runs.
 #[derive(Debug, Clone)]
-pub struct HierarchicalWatermarker {
+pub struct Watermarker {
     config: WatermarkConfig,
+    scheme: Scheme,
 }
 
-impl HierarchicalWatermarker {
-    /// Create an agent from a configuration.
+impl Watermarker {
+    /// Create a hierarchical (Fig. 9) agent from a configuration.
     pub fn new(config: WatermarkConfig) -> Self {
-        HierarchicalWatermarker { config }
+        Watermarker { config, scheme: Scheme::Hierarchical }
+    }
+
+    /// Create a single-level (§5.2 baseline) agent from a configuration:
+    /// values are permuted within their ultimate node's sibling set only,
+    /// and detection reads that one parity.
+    pub fn single_level(config: WatermarkConfig) -> Self {
+        Watermarker { config, scheme: Scheme::SingleLevel }
     }
 
     /// The agent's configuration.
@@ -188,7 +204,7 @@ impl HierarchicalWatermarker {
         plan: &EmbedPlan<'_>,
         table: &mut Table,
     ) -> Result<EmbedKernel, WatermarkError> {
-        EmbedKernel::prepare(plan, table, EmbedStyle::Hierarchical)
+        EmbedKernel::prepare(plan, table, self.scheme)
     }
 
     /// `Embedding(tbl, tr, maxgends, ultigends, k1, k2, η, wm)`: watermark the
@@ -239,24 +255,23 @@ impl HierarchicalWatermarker {
     }
 
     /// Prepare the columnar detection kernel for `plan` against `table`:
-    /// memoize each distinct cell value's climb-and-vote once, so the row
-    /// loop is a code lookup plus one PRF per (selected tuple, column).
-    /// Workers call [`DetectKernel::run_range`] over disjoint row ranges and
-    /// merge the tallies.
+    /// memoize each distinct cell value's vote once, so the row loop is a
+    /// code lookup plus one PRF per (selected tuple, column). Workers call
+    /// [`DetectKernel::run_range`] over disjoint row ranges and merge the
+    /// tallies.
     pub fn prepare_detect(
         &self,
         plan: &DetectPlan<'_>,
         table: &Table,
     ) -> Result<DetectKernel, WatermarkError> {
-        let weighted = self.config.weighted_voting;
-        DetectKernel::prepare(plan, table, move |pc, value| {
-            hierarchical_cell_vote(pc, value, weighted)
-        })
+        DetectKernel::prepare(plan, table, self.scheme)
     }
 
     /// `Detection(tbl, tr, maxgends, ultigends, k1, k2, η)`: recover the mark
     /// from a (possibly attacked) table. `mark_len` is the length of the
-    /// original mark `wm`.
+    /// original mark `wm`. Under the single-level scheme, values that are no
+    /// longer ultimate generalization nodes (e.g. after a generalization
+    /// attack) yield no vote — which is exactly that scheme's weakness.
     pub fn detect(
         &self,
         table: &Table,
@@ -311,24 +326,28 @@ mod tests {
     use medshield_metrics::{mark_loss, satisfies_k_anonymity};
 
     fn binned_dataset(n: usize, k: usize) -> (MedicalDataset, BinningOutcome) {
-        let ds = MedicalDataset::generate(&DatasetConfig::small(n));
-        let agent = BinningAgent::new(BinningConfig::with_k(k));
         // Maximal generalization nodes given directly as the tree roots (the
         // paper's experimental simplification): the gap between the root and
         // the ultimate nodes is the watermark bandwidth channel.
+        binned_at_depth(n, k, 0)
+    }
+
+    fn binned_at_depth(n: usize, k: usize, depth: usize) -> (MedicalDataset, BinningOutcome) {
+        let ds = MedicalDataset::generate(&DatasetConfig::small(n));
+        let agent = BinningAgent::new(BinningConfig::with_k(k));
         let maximal: BTreeMap<String, GeneralizationSet> = ds
             .trees
             .iter()
-            .map(|(name, tree)| (name.clone(), GeneralizationSet::at_depth(tree, 0)))
+            .map(|(name, tree)| (name.clone(), GeneralizationSet::at_depth(tree, depth)))
             .collect();
         let outcome = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
         (ds, outcome)
     }
 
-    fn watermarker(eta: u64) -> (HierarchicalWatermarker, Mark) {
+    fn watermarker(eta: u64) -> (Watermarker, Mark) {
         let key = WatermarkKey::from_master(b"owner-secret", eta);
         let config = WatermarkConfig::new(key);
-        (HierarchicalWatermarker::new(config), Mark::from_bytes(b"hospital-alpha", 20))
+        (Watermarker::new(config), Mark::from_bytes(b"hospital-alpha", 20))
     }
 
     #[test]
@@ -348,10 +367,8 @@ mod tests {
         let (ds, binned) = binned_dataset(1000, 4);
         let (wm, mark) = watermarker(8);
         let (marked, _) = wm.embed(&binned, &ds.trees, &mark).unwrap();
-        let wrong = HierarchicalWatermarker::new(WatermarkConfig::new(WatermarkKey::from_master(
-            b"attacker-guess",
-            8,
-        )));
+        let wrong =
+            Watermarker::new(WatermarkConfig::new(WatermarkKey::from_master(b"attacker-guess", 8)));
         let detected = wrong.detect(&marked, &binned.columns, &ds.trees, mark.len()).unwrap();
         let loss = mark_loss(mark.bits(), &detected.mark);
         assert!(loss > 0.2, "wrong key should not recover the mark (loss {loss})");
@@ -430,7 +447,7 @@ mod tests {
         let mut config = WatermarkConfig::new(key);
         config.duplication = 2;
         config.columns = Some(vec![target.clone()]);
-        let wm = HierarchicalWatermarker::new(config);
+        let wm = Watermarker::new(config);
         let mark = Mark::from_bytes(b"m", 20);
         let (marked, report) = wm.embed(&binned, &ds.trees, &mark).unwrap();
         assert!(report.embedded_cells > 0, "the granular column must carry bits");
@@ -453,7 +470,7 @@ mod tests {
         let key = WatermarkKey::from_master(b"owner", 10);
         let mut config = WatermarkConfig::new(key);
         config.weighted_voting = true;
-        let wm = HierarchicalWatermarker::new(config);
+        let wm = Watermarker::new(config);
         let mark = Mark::from_bytes(b"weighted", 20);
         let (marked, _) = wm.embed(&binned, &ds.trees, &mark).unwrap();
         let detected = wm.detect(&marked, &binned.columns, &ds.trees, mark.len()).unwrap();
@@ -473,7 +490,7 @@ mod tests {
             Err(WatermarkError::EmptyMark)
         ));
         let bad_key = WatermarkKey::new(b"a".to_vec(), b"b".to_vec(), 0);
-        let bad = HierarchicalWatermarker::new(WatermarkConfig::new(bad_key));
+        let bad = Watermarker::new(WatermarkConfig::new(bad_key));
         assert!(matches!(
             bad.embed(&binned, &ds.trees, &Mark::from_bytes(b"m", 8)),
             Err(WatermarkError::InvalidEta)
@@ -492,7 +509,7 @@ mod tests {
         let mut config = WatermarkConfig::new(key);
         config.duplication = 2;
         config.virtual_key_columns = vec!["age".into()];
-        let wm = HierarchicalWatermarker::new(config);
+        let wm = Watermarker::new(config);
         let mark = Mark::from_bytes(b"vk", 16);
         let (marked, _) = wm.embed(&binned, &ds.trees, &mark).unwrap();
 
@@ -539,5 +556,52 @@ mod tests {
         let detected = wm.detect(&binned.table, &binned.columns, &ds.trees, mark.len()).unwrap();
         let loss = mark_loss(mark.bits(), &detected.mark);
         assert!(loss > 0.15, "unwatermarked data should not contain the mark (loss {loss})");
+    }
+
+    #[test]
+    fn single_level_roundtrip_without_attack() {
+        let (ds, outcome) = binned_at_depth(1200, 4, 1);
+        let key = WatermarkKey::from_master(b"owner", 8);
+        let wm = Watermarker::single_level(WatermarkConfig::new(key));
+        let mark = Mark::from_bytes(b"single-level", 20);
+        let (marked, report) = wm.embed(&outcome, &ds.trees, &mark).unwrap();
+        assert!(report.embedded_cells > 0);
+        let detected = wm.detect(&marked, &outcome.columns, &ds.trees, mark.len()).unwrap();
+        let loss = mark_loss(mark.bits(), &detected.mark);
+        assert!(
+            loss <= 0.1,
+            "clean single-level detection should mostly recover the mark (loss {loss})"
+        );
+    }
+
+    #[test]
+    fn values_stay_at_ultimate_level() {
+        let (ds, outcome) = binned_at_depth(600, 4, 1);
+        let key = WatermarkKey::from_master(b"owner", 6);
+        let wm = Watermarker::single_level(WatermarkConfig::new(key));
+        let mark = Mark::from_bytes(b"x", 16);
+        let (marked, _) = wm.embed(&outcome, &ds.trees, &mark).unwrap();
+        for cb in &outcome.columns {
+            let tree = &ds.trees[&cb.column];
+            for v in marked.column_values(&cb.column).unwrap() {
+                let node = tree.node_for_value(&v).unwrap();
+                assert!(cb.ultimate.contains(node));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_mark_rejected() {
+        let (ds, outcome) = binned_at_depth(50, 2, 1);
+        let key = WatermarkKey::from_master(b"owner", 4);
+        let wm = Watermarker::single_level(WatermarkConfig::new(key));
+        assert!(matches!(
+            wm.embed(&outcome, &ds.trees, &Mark::from_bits(vec![])),
+            Err(WatermarkError::EmptyMark)
+        ));
+        assert!(matches!(
+            wm.detect(&outcome.table, &outcome.columns, &ds.trees, 0),
+            Err(WatermarkError::EmptyMark)
+        ));
     }
 }

@@ -129,13 +129,16 @@ impl IdentCodec {
     }
 }
 
-/// Which embedding walk the kernel performs per cell.
+/// The watermarking scheme: which walk embedding performs per cell and
+/// which vote detection reads from a cell's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EmbedStyle {
+pub(crate) enum Scheme {
     /// Fig. 9: descend from the maximal node, encoding the bit at every
-    /// level, until an ultimate node is reached.
+    /// level, until an ultimate node is reached; detection climbs back and
+    /// folds the per-level parities.
     Hierarchical,
-    /// §5.2 baseline: permute within the ultimate node's sibling set only.
+    /// §5.2 baseline: permute within the ultimate node's sibling set only;
+    /// detection reads that one parity.
     SingleLevel,
 }
 
@@ -198,7 +201,7 @@ pub struct EmbedChunk {
 /// it by reference across threads.
 #[derive(Debug, Clone)]
 pub struct EmbedKernel {
-    style: EmbedStyle,
+    scheme: Scheme,
     columns: Vec<EmbedColumn>,
     ident: Option<IdentCodec>,
 }
@@ -212,14 +215,14 @@ impl EmbedKernel {
     pub(crate) fn prepare(
         plan: &EmbedPlan<'_>,
         table: &mut Table,
-        style: EmbedStyle,
+        scheme: Scheme,
     ) -> Result<Self, WatermarkError> {
         let mut columns = Vec::with_capacity(plan.core.columns.len());
         for pc in &plan.core.columns {
-            columns.push(EmbedColumn::prepare(pc, table, style)?);
+            columns.push(EmbedColumn::prepare(pc, table, scheme)?);
         }
         let ident = plan.core.identity.as_ref().map(|id| IdentCodec::build(id, table));
-        Ok(EmbedKernel { style, columns, ident })
+        Ok(EmbedKernel { scheme, columns, ident })
     }
 
     /// Embed into the rows of `range`, reading the shared `table` and
@@ -281,26 +284,22 @@ impl EmbedKernel {
                 let bit_wide = prf.prefixed_value_wide(&st.bit_prefix, &buf);
                 let bit = plan.wmd[KeyedPrf::reduce_wide(bit_wide, wmd_len) as usize];
                 let perm_wide = prf.prefixed_value_wide(&st.perm_prefix, &buf);
-                let new_node = match self.style {
-                    EmbedStyle::Hierarchical => {
-                        let node =
-                            descend_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)?;
-                        report.embedded_cells += 1;
-                        node
+                let new_node = match self.scheme {
+                    Scheme::Hierarchical => {
+                        descend_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)?
                     }
-                    EmbedStyle::SingleLevel => {
+                    Scheme::SingleLevel => {
                         match permute_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)? {
                             Some(node) => node,
                             None => continue,
                         }
                     }
                 };
+                report.embedded_cells += 1;
                 match st.node_code.get(&new_node) {
                     Some(&new_code) => {
                         if new_code != code {
-                            if self.style == EmbedStyle::Hierarchical {
-                                report.changed_cells += 1;
-                            }
+                            report.changed_cells += 1;
                             edits[ci].push(Edit::Code(row, new_code));
                         }
                     }
@@ -309,9 +308,7 @@ impl EmbedKernel {
                         // the value through the slow path.
                         let new_value =
                             pc.tree.node_value(new_node).map_err(WatermarkError::Dht)?;
-                        if self.style == EmbedStyle::Hierarchical
-                            && new_value != columns[pc.index].value(row)
-                        {
+                        if new_value != columns[pc.index].value(row) {
                             report.changed_cells += 1;
                         }
                         edits[ci].push(Edit::Value(row, new_value));
@@ -360,7 +357,7 @@ impl EmbedColumn {
     fn prepare(
         pc: &PlanColumn<'_>,
         table: &mut Table,
-        style: EmbedStyle,
+        scheme: Scheme,
     ) -> Result<Self, WatermarkError> {
         let column_name = &pc.binning.column;
         let bit_prefix = KeyedPrf::label_prefix(&format!("bit:{column_name}"));
@@ -393,9 +390,9 @@ impl EmbedColumn {
                 continue;
             }
             let value = &dict.dict()[code];
-            memo.push(match style {
-                EmbedStyle::Hierarchical => hierarchical_cell_memo(pc, value),
-                EmbedStyle::SingleLevel => single_level_cell_memo(pc, value),
+            memo.push(match scheme {
+                Scheme::Hierarchical => hierarchical_cell_memo(pc, value),
+                Scheme::SingleLevel => single_level_cell_memo(pc, value),
             });
         }
         Ok(EmbedColumn { memo, node_code, bit_prefix, perm_prefix })
@@ -529,13 +526,17 @@ pub struct DetectKernel {
 }
 
 impl DetectKernel {
-    /// Memoize each planned column's per-value vote with `cell_vote` (the
-    /// scheme-specific value resolution) and freeze the identity codec.
+    /// Memoize each planned column's per-value vote under `scheme` and
+    /// freeze the identity codec.
     pub(crate) fn prepare(
         plan: &DetectPlan<'_>,
         table: &Table,
-        cell_vote: impl Fn(&PlanColumn<'_>, &Value) -> Result<Option<bool>, WatermarkError>,
+        scheme: Scheme,
     ) -> Result<Self, WatermarkError> {
+        let cell_vote = |pc: &PlanColumn<'_>, value: &Value| match scheme {
+            Scheme::Hierarchical => hierarchical_cell_vote(pc, value, plan.weighted_voting),
+            Scheme::SingleLevel => single_level_cell_vote(pc, value),
+        };
         let mut columns = Vec::with_capacity(plan.core.columns.len());
         for pc in &plan.core.columns {
             let bit_prefix = KeyedPrf::label_prefix(&format!("bit:{}", pc.binning.column));
@@ -622,7 +623,7 @@ impl DetectKernel {
 /// The hierarchical scheme's per-value detection vote: climb from the
 /// value's node to its maximal generalization node and fold the per-level
 /// parities by (optionally weighted) majority.
-pub(crate) fn hierarchical_cell_vote(
+fn hierarchical_cell_vote(
     pc: &PlanColumn<'_>,
     value: &Value,
     weighted: bool,
@@ -648,7 +649,7 @@ pub(crate) fn hierarchical_cell_vote(
 
 /// The single-level scheme's per-value detection vote: the parity of the
 /// value's ultimate-node index within its sibling set.
-pub(crate) fn single_level_cell_vote(
+fn single_level_cell_vote(
     pc: &PlanColumn<'_>,
     value: &Value,
 ) -> Result<Option<bool>, WatermarkError> {

@@ -6,10 +6,9 @@
 //! for distinct purposes keep the calculations uncorrelated (§5.3).
 
 use medshield_crypto::{sha256, KeyedPrf};
-use serde::{Deserialize, Serialize};
 
 /// The secret watermarking key `(k1, k2, η)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatermarkKey {
     /// Key for the tuple-selection hash (Eq. 5).
     pub k1: Vec<u8>,
@@ -53,7 +52,7 @@ impl WatermarkKey {
 
 /// The mark: an owner-specific bit string (the paper's experiments use a
 /// 20-bit mark embedded multiple times).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mark {
     bits: Vec<bool>,
 }
@@ -165,7 +164,7 @@ impl std::fmt::Display for Mark {
 }
 
 /// Configuration of the watermarking agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatermarkConfig {
     /// The secret key.
     pub key: WatermarkKey,

@@ -20,12 +20,12 @@
 //! * [`select`] — keyed tuple selection, Eq. (5): `H(ti.ident, k1) mod η = 0`,
 //!   with an optional virtual primary key when the identifying columns cannot
 //!   be relied on.
-//! * [`hierarchical`] — the hierarchical embedding/detection algorithm of
-//!   Fig. 9, which watermarks *every* level between the maximal and ultimate
-//!   generalization nodes and is therefore resilient to the generalization
-//!   attack.
-//! * [`single_level`] — the single-level scheme of §5.2, kept as the baseline
-//!   that the generalization attack defeats.
+//! * [`hierarchical`] — the [`Watermarker`]: the hierarchical
+//!   embedding/detection algorithm of Fig. 9, which watermarks *every* level
+//!   between the maximal and ultimate generalization nodes and is therefore
+//!   resilient to the generalization attack, and
+//!   ([`Watermarker::single_level`]) the single-level scheme of §5.2, kept as
+//!   the baseline that the generalization attack defeats.
 //! * [`plan`] — precomputed per-run state ([`plan::EmbedPlan`] /
 //!   [`plan::DetectPlan`]) shared by workers processing disjoint row chunks;
 //!   the foundation of the chunk-parallel protection engine.
@@ -64,18 +64,16 @@ pub mod key;
 pub mod ownership;
 pub mod plan;
 pub mod select;
-pub mod single_level;
 pub mod voting;
 
 pub use error::WatermarkError;
 pub use fingerprint::{
     derive_recipient_mark, score_recipients, FingerprintDeriver, RecipientScore,
 };
-pub use hierarchical::{DetectionReport, DetectionTally, EmbeddingReport, HierarchicalWatermarker};
+pub use hierarchical::{DetectionReport, DetectionTally, EmbeddingReport, Watermarker};
 pub use kernel::{DetectKernel, EmbedChunk, EmbedKernel};
 pub use key::{Mark, WatermarkConfig, WatermarkKey};
 pub use ownership::{OwnershipProof, OwnershipVerdict};
 pub use plan::{DetectPlan, EmbedPlan};
 pub use select::{ResolvedIdentity, TupleIdentity};
-pub use single_level::SingleLevelWatermarker;
 pub use voting::VotingError;

@@ -16,11 +16,10 @@
 use crate::key::Mark;
 use medshield_metrics::mark_loss;
 use medshield_relation::{Table, Value};
-use serde::{Deserialize, Serialize};
 
 /// The owner's side of the protocol: the statistic of the clear-text
 /// identifying column and the mark derived from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnershipProof {
     /// The statistic `v` (mean of the numeric projection of the identifying
     /// values).
@@ -52,7 +51,7 @@ impl OwnershipProof {
 }
 
 /// The court's verdict in an ownership dispute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnershipVerdict {
     /// The statistic the claimant presented.
     pub claimed_statistic: f64,

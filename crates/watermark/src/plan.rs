@@ -96,8 +96,8 @@ impl<'a> PlanCore<'a> {
 }
 
 /// Everything a worker needs to embed the mark into a row chunk. Built by
-/// `plan_embed` on either watermarker; immutable and shareable across
-/// threads.
+/// [`Watermarker::plan_embed`](crate::Watermarker::plan_embed); immutable
+/// and shareable across threads.
 #[derive(Debug, Clone)]
 pub struct EmbedPlan<'a> {
     pub(crate) core: PlanCore<'a>,
@@ -127,13 +127,15 @@ impl<'a> EmbedPlan<'a> {
 }
 
 /// Everything a worker needs to collect detection votes from a row chunk.
-/// Built by `plan_detect` on either watermarker; immutable and shareable
-/// across threads.
+/// Built by [`Watermarker::plan_detect`](crate::Watermarker::plan_detect);
+/// immutable and shareable across threads.
 #[derive(Debug, Clone)]
 pub struct DetectPlan<'a> {
     pub(crate) core: PlanCore<'a>,
     /// Length of the extended mark `wmd`.
     pub(crate) wmd_len: usize,
+    /// Fold the hierarchical per-level parities by level-weighted majority.
+    pub(crate) weighted_voting: bool,
 }
 
 impl<'a> DetectPlan<'a> {
@@ -148,7 +150,11 @@ impl<'a> DetectPlan<'a> {
             return Err(WatermarkError::EmptyMark);
         }
         let core = PlanCore::build(config, schema, binning_columns, trees, MissingColumns::Skip)?;
-        Ok(DetectPlan { core, wmd_len: mark_len * config.duplication.max(1) })
+        Ok(DetectPlan {
+            core,
+            wmd_len: mark_len * config.duplication.max(1),
+            weighted_voting: config.weighted_voting,
+        })
     }
 
     /// Length of the extended mark `wmd`.

@@ -13,9 +13,7 @@
 use medshield_binning::{BinningAgent, BinningConfig, BinningOutcome};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use medshield_dht::GeneralizationSet;
-use medshield_watermark::{
-    FingerprintDeriver, HierarchicalWatermarker, WatermarkConfig, WatermarkKey,
-};
+use medshield_watermark::{FingerprintDeriver, WatermarkConfig, WatermarkKey, Watermarker};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -47,7 +45,7 @@ proptest! {
     ) {
         let (ds, binned) = binned();
         let key = WatermarkKey::from_master(b"owner-secret", 4);
-        let wm = HierarchicalWatermarker::new(WatermarkConfig::new(key.clone()));
+        let wm = Watermarker::new(WatermarkConfig::new(key.clone()));
         let deriver = FingerprintDeriver::new(&key, mark_len);
         let names: Vec<String> =
             (0..recipients).map(|i| format!("recipient-{i}")).collect();

@@ -12,8 +12,8 @@ use medshield_core::attacks::{
     Attack, GeneralizationAttack, MixedAttack, SubsetAddition, SubsetAlteration, SubsetDeletion,
 };
 use medshield_core::metrics::mark_loss;
-use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::watermark::{Mark, WatermarkConfig, WatermarkKey, Watermarker};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
@@ -24,8 +24,8 @@ fn main() {
         .mark_len(20)
         .mark_text("General Hospital 2005")
         .build();
-    let pipeline = ProtectionPipeline::new(config);
-    let release = pipeline.protect(&dataset.table, &dataset.trees).unwrap();
+    let engine = ProtectionEngine::sequential(config);
+    let release = engine.protect(&dataset.table, &dataset.trees).unwrap();
     println!(
         "protected {} tuples; {} watermarked; mark = {}",
         release.table.len(),
@@ -60,8 +60,7 @@ fn main() {
     println!("\n{:<42} {:>10} {:>12}", "attack", "mark loss", "table size");
     for (name, attack) in &attacks {
         let attacked = attack.apply(&release.table);
-        let detection =
-            pipeline.detect(&attacked, &release.binning.columns, &dataset.trees).unwrap();
+        let detection = engine.detect(&attacked, &release.binning.columns, &dataset.trees).unwrap();
         let loss = mark_loss(release.mark.bits(), &detection.mark);
         println!("{:<42} {:>9.1}% {:>12}", name, loss * 100.0, attacked.len());
     }
@@ -70,18 +69,20 @@ fn main() {
     // the hierarchical one.
     println!("\ngeneralization-attack ablation (single-level vs hierarchical):");
     let key = WatermarkKey::from_master(b"General Hospital 2005/single", 10);
-    let single = SingleLevelWatermarker::new(WatermarkConfig::new(key));
+    let single = Watermarker::single_level(WatermarkConfig::new(key));
     let mark = Mark::from_bytes(b"General Hospital 2005", 20);
-    let single_marked = single.embed(&release.binning, &dataset.trees, &mark).unwrap();
+    let single_marked = single.embed(&release.binning, &dataset.trees, &mark).unwrap().0;
     let attack = GeneralizationAttack::new(1, dataset.trees.clone());
 
     let single_clean = single
         .detect(&single_marked, &release.binning.columns, &dataset.trees, mark.len())
-        .unwrap();
+        .unwrap()
+        .mark;
     let single_attacked = single
         .detect(&attack.apply(&single_marked), &release.binning.columns, &dataset.trees, mark.len())
-        .unwrap();
-    let hier_attacked = pipeline
+        .unwrap()
+        .mark;
+    let hier_attacked = engine
         .detect(&attack.apply(&release.table), &release.binning.columns, &dataset.trees)
         .unwrap();
     println!(

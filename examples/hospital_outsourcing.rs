@@ -9,7 +9,7 @@
 use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::UsageBounds;
 use medshield_core::relation::csv;
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use std::collections::BTreeMap;
 
@@ -42,9 +42,9 @@ fn main() {
         .encryption_secret(b"hospital-identifier-key-2005".to_vec())
         .watermark_secret(b"hospital-watermark-key-2005".to_vec())
         .build();
-    let pipeline = ProtectionPipeline::new(config);
+    let engine = ProtectionEngine::sequential(config);
 
-    let release = pipeline
+    let release = engine
         .protect_with_metrics(&dataset.table, &dataset.trees, &maximal)
         .expect("binnable under the agreed usage metrics");
 
@@ -91,7 +91,7 @@ fn main() {
     // Months later, a copy of the data surfaces on a data broker's site. The
     // hospital checks whether it is its release.
     let leaked = release.table.snapshot();
-    let detection = pipeline.detect(&leaked, &release.binning.columns, &dataset.trees).unwrap();
+    let detection = engine.detect(&leaked, &release.binning.columns, &dataset.trees).unwrap();
     let loss = medshield_core::metrics::mark_loss(release.mark.bits(), &detection.mark);
     println!(
         "mark recovered from the leaked copy with {:.0}% bit loss ({} of {} wmd positions covered)",
@@ -102,7 +102,7 @@ fn main() {
 
     // And takes the broker to court with the statistic-derived proof.
     let proof = release.ownership.as_ref().expect("statistic-derived mark");
-    let verdict = pipeline.resolve_ownership(
+    let verdict = engine.resolve_ownership(
         proof,
         &leaked,
         "ssn",

@@ -9,15 +9,15 @@
 //! ```
 
 use medshield_core::watermark::ownership::OwnershipProof;
-use medshield_core::watermark::{HierarchicalWatermarker, Mark, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::watermark::{Mark, WatermarkConfig, WatermarkKey, Watermarker};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(3_000));
 
     // ---------------------------------------------------------------- owner
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)
@@ -40,7 +40,7 @@ fn main() {
     // Attack 1 (Fig. 10): the attacker takes the owner's watermarked data and
     // inserts his *own* mark with his own key, then claims ownership.
     let attacker_key = WatermarkKey::from_master(b"attacker-watermark-key", 10);
-    let attacker_wm = HierarchicalWatermarker::new(WatermarkConfig::new(attacker_key));
+    let attacker_wm = Watermarker::new(WatermarkConfig::new(attacker_key));
     let attacker_mark = Mark::from_bytes(b"attacker-mark", 20);
     // The attacker only holds the released (already watermarked) table; he
     // re-embeds his own mark on top of it.

@@ -6,7 +6,7 @@
 //! ```
 
 use medshield_core::metrics::{satisfies_k_anonymity, ColumnGeneralization};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
@@ -27,12 +27,12 @@ fn main() {
         .mark_len(20)
         .mark_text("City Hospital Research Release")
         .build();
-    let pipeline = ProtectionPipeline::new(config);
+    let engine = ProtectionEngine::sequential(config);
 
     // 3. Protect: binning (privacy) followed by hierarchical watermarking
     //    (ownership).
     let release =
-        pipeline.protect(&dataset.table, &dataset.trees).expect("the synthetic data are binnable");
+        engine.protect(&dataset.table, &dataset.trees).expect("the synthetic data are binnable");
 
     // 4. Privacy check: every quasi-identifier combination is shared by at
     //    least k records.
@@ -59,7 +59,7 @@ fn main() {
 
     // 6. Ownership check: the mark is recoverable from the released table.
     let detection =
-        pipeline.detect(&release.table, &release.binning.columns, &dataset.trees).unwrap();
+        engine.detect(&release.table, &release.binning.columns, &dataset.trees).unwrap();
     println!(
         "embedded mark : {}\nrecovered mark: {}",
         release.mark,

@@ -9,15 +9,15 @@
 //! ```
 
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration};
-use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::watermark::{score_recipients, FingerprintDeriver, Watermarker};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(3_000));
 
     // One protected release, exactly as before the release/copy refinement.
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)
@@ -32,7 +32,7 @@ fn main() {
     // release. Tuple selection is content-keyed, so the re-embedding
     // overwrites exactly the cells the release mark occupies.
     let deriver = FingerprintDeriver::new(&owner.config().watermark.key, owner.config().mark_len);
-    let wm = HierarchicalWatermarker::new(owner.config().watermark.clone());
+    let wm = Watermarker::new(owner.config().watermark.clone());
     let clinics = ["clinic-a", "clinic-b", "clinic-c"];
     let copies: Vec<_> = clinics
         .iter()

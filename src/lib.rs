@@ -10,10 +10,10 @@
 //! tests (`tests/`) and runnable examples (`examples/`).
 //!
 //! ```
-//! use medshield::core::{ProtectionConfig, ProtectionPipeline};
+//! use medshield::core::{ProtectionConfig, ProtectionEngine};
 //!
 //! let config = ProtectionConfig::builder().k(4).build();
-//! let _pipeline = ProtectionPipeline::new(config);
+//! let _engine = ProtectionEngine::sequential(config);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -22,5 +22,5 @@
 pub use medshield_core as core;
 
 pub use medshield_core::{
-    ProtectedRelease, ProtectionConfig, ProtectionConfigBuilder, ProtectionPipeline,
+    ProtectedRelease, ProtectionConfig, ProtectionConfigBuilder, ProtectionEngine,
 };

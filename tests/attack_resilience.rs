@@ -8,13 +8,13 @@ use medshield_core::attacks::{
     Attack, GeneralizationAttack, MixedAttack, SubsetAddition, SubsetAlteration, SubsetDeletion,
 };
 use medshield_core::metrics::mark_loss;
-use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::watermark::{Mark, WatermarkConfig, WatermarkKey, Watermarker};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
-fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionPipeline, ProtectedRelease) {
+fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionEngine, ProtectedRelease) {
     let ds = MedicalDataset::generate(&DatasetConfig::small(n));
-    let pipeline = ProtectionPipeline::new(
+    let pipeline = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(eta)
@@ -30,7 +30,7 @@ fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionPipeline, Protected
 fn loss_under(
     attack: &dyn Attack,
     ds: &MedicalDataset,
-    pipeline: &ProtectionPipeline,
+    pipeline: &ProtectionEngine,
     release: &ProtectedRelease,
 ) -> f64 {
     let attacked = attack.apply(&release.table);
@@ -105,17 +105,17 @@ fn generalization_attack_defeats_single_level_but_not_hierarchical() {
     // every watermarked value is pushed above its ultimate node, so detection
     // collects no votes and the recovered mark is unrelated to the original.
     let key = WatermarkKey::from_master(b"single-level-owner", 8);
-    let single = SingleLevelWatermarker::new(WatermarkConfig::new(key));
+    let single = Watermarker::single_level(WatermarkConfig::new(key));
     let mark = Mark::from_bytes(b"single-level-owner", 20);
-    let marked = single.embed(&release.binning, &ds.trees, &mark).unwrap();
+    let marked = single.embed(&release.binning, &ds.trees, &mark).unwrap().0;
 
     let clean = single.detect(&marked, &release.binning.columns, &ds.trees, mark.len()).unwrap();
-    let clean_loss = mark_loss(mark.bits(), &clean);
+    let clean_loss = mark_loss(mark.bits(), &clean.mark);
     assert!(clean_loss <= 0.1, "single-level clean detection lost {clean_loss}");
 
     let attacked = attack.apply(&marked);
     let after = single.detect(&attacked, &release.binning.columns, &ds.trees, mark.len()).unwrap();
-    let attacked_loss = mark_loss(mark.bits(), &after);
+    let attacked_loss = mark_loss(mark.bits(), &after.mark);
     assert!(
         attacked_loss >= 0.25,
         "the generalization attack should destroy the single-level mark, lost only {attacked_loss}"

@@ -1,12 +1,12 @@
 //! Equivalence of the chunk-parallel [`ProtectionEngine`] and the sequential
-//! [`ProtectionPipeline`]: for thread counts {1, 2, 4, 8} the engine must
+//! [`ProtectionEngine`]: for thread counts {1, 2, 4, 8} the engine must
 //! produce a byte-identical release table, an identical embedding report, and
 //! an identical detection report — on clean releases and on attacked ones.
 //! This pins the parallel refactor to the paper's (sequential) semantics.
 
 use medshield_core::attacks::{Attack, MixedAttack, SubsetAlteration, SubsetDeletion};
 use medshield_core::relation::csv;
-use medshield_core::{ProtectionConfig, ProtectionEngine, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ proptest! {
         eta in 2u64..12,
     ) {
         let ds = MedicalDataset::generate(&DatasetConfig { num_tuples: n, seed, zipf_exponent: 0.8 });
-        let pipeline = ProtectionPipeline::new(config(4, eta, 2));
+        let pipeline = ProtectionEngine::sequential(config(4, eta, 2));
         let reference = pipeline.protect_per_attribute(&ds.table, &ds.trees).unwrap();
         let reference_csv = csv::to_csv(&reference.table);
         let reference_detection = pipeline
@@ -68,7 +68,7 @@ proptest! {
             seed,
             zipf_exponent: 0.8,
         });
-        let pipeline = ProtectionPipeline::new(config(4, 5, 2));
+        let pipeline = ProtectionEngine::sequential(config(4, 5, 2));
         let release = pipeline.protect_per_attribute(&ds.table, &ds.trees).unwrap();
         let attack = MixedAttack::new()
             .then(SubsetDeletion::random(delete_fraction, seed))

@@ -5,13 +5,13 @@
 
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration, SubsetDeletion};
 use medshield_core::relation::{csv, Table};
-use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::watermark::{score_recipients, FingerprintDeriver, Watermarker};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 struct Fixture {
     dataset: MedicalDataset,
-    owner: ProtectionPipeline,
+    owner: ProtectionEngine,
     release: ProtectedRelease,
     /// `(name, fingerprint, copy)` per recipient.
     copies: Vec<(String, medshield_core::watermark::Mark, Table)>,
@@ -19,7 +19,7 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(1_200));
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(4)
             .eta(5)
@@ -29,7 +29,7 @@ fn fixture() -> Fixture {
     );
     let release = owner.protect(&dataset.table, &dataset.trees).unwrap();
     let deriver = FingerprintDeriver::new(&owner.config().watermark.key, owner.config().mark_len);
-    let wm = HierarchicalWatermarker::new(owner.config().watermark.clone());
+    let wm = Watermarker::new(owner.config().watermark.clone());
     let copies = ["clinic-a", "clinic-b", "clinic-c"]
         .iter()
         .map(|name| {

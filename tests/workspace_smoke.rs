@@ -4,7 +4,7 @@
 //! regression fails with a named test instead of a wall of unrelated
 //! compile errors.
 
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 
 #[test]
 fn core_reexports_every_subcrate_path_the_tests_use() {
@@ -25,7 +25,7 @@ fn core_reexports_every_subcrate_path_the_tests_use() {
 fn facade_reexports_the_core_crate() {
     // The `medshield` facade is the one-dependency entry point.
     let config = medshield::ProtectionConfig::builder().k(3).build();
-    let _pipeline = medshield::ProtectionPipeline::new(config);
+    let _pipeline = medshield::ProtectionEngine::sequential(config);
     let _ = medshield::core::relation::Schema::medical_example();
 }
 
@@ -47,5 +47,5 @@ fn builder_overrides_stick_and_feed_the_pipeline() {
         .build();
     let debug = format!("{config:?}");
     assert!(debug.contains('7'), "k=7 should appear in {debug}");
-    let _ = ProtectionPipeline::new(config);
+    let _ = ProtectionEngine::sequential(config);
 }
