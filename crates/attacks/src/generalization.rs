@@ -45,16 +45,12 @@ impl GeneralizationAttack {
 impl Attack for GeneralizationAttack {
     fn apply(&self, table: &Table) -> Table {
         let mut attacked = table.snapshot();
-        let columns: Vec<String> =
-            table.schema().quasi_names().into_iter().map(String::from).collect();
-        let ids = attacked.ids();
-        for id in ids {
-            for column in &columns {
-                let Some(tree) = self.trees.get(column) else { continue };
-                let value = attacked
-                    .value(id, column)
-                    .expect("id and column exist in the snapshot")
-                    .clone();
+        let schema = table.schema();
+        for index in schema.quasi_indices() {
+            let Some(tree) = self.trees.get(&schema.columns()[index].name) else { continue };
+            let column = attacked.column_mut(index).expect("index from schema");
+            for row in 0..column.len() {
+                let value = column.value(row);
                 if value.is_null() {
                     continue;
                 }
@@ -71,10 +67,7 @@ impl Attack for GeneralizationAttack {
                         _ => break,
                     }
                 }
-                let generalized = tree.node_value(node).expect("node exists");
-                attacked
-                    .set_value(id, column, generalized)
-                    .expect("id and column exist in the snapshot");
+                column.set(row, &tree.node_value(node).expect("node exists"));
             }
         }
         attacked
@@ -101,10 +94,10 @@ mod tests {
         let attack = GeneralizationAttack::new(1, ds.trees.clone());
         let attacked = attack.apply(&ds.table);
         let tree = &ds.trees["doctor"];
-        let idx = ds.table.schema().index_of("doctor").unwrap();
-        for (orig, att) in ds.table.iter().zip(attacked.iter()) {
-            let orig_node = tree.node_for_value(&orig.values[idx]).unwrap();
-            let att_node = tree.node_for_value(&att.values[idx]).unwrap();
+        let originals = ds.table.column_values("doctor").unwrap();
+        for (orig, att) in originals.iter().zip(attacked.column_values("doctor").unwrap()) {
+            let orig_node = tree.node_for_value(orig).unwrap();
+            let att_node = tree.node_for_value(&att).unwrap();
             assert_eq!(tree.parent(orig_node).unwrap(), Some(att_node));
         }
     }
@@ -142,11 +135,12 @@ mod tests {
         trees.remove("age");
         let attack = GeneralizationAttack::new(1, trees);
         let attacked = attack.apply(&ds.table);
-        let ssn_idx = ds.table.schema().index_of("ssn").unwrap();
-        let age_idx = ds.table.schema().index_of("age").unwrap();
-        for (orig, att) in ds.table.iter().zip(attacked.iter()) {
-            assert_eq!(orig.values[ssn_idx], att.values[ssn_idx]);
-            assert_eq!(orig.values[age_idx], att.values[age_idx]);
+        for column in ["ssn", "age"] {
+            assert_eq!(
+                ds.table.column_values(column).unwrap(),
+                attacked.column_values(column).unwrap(),
+                "column {column}"
+            );
         }
     }
 

@@ -9,7 +9,7 @@ use crate::multi::{self, ColumnContext, SearchMode};
 use medshield_crypto::Aes128;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet};
 use medshield_metrics::usage::UsageBounds;
-use medshield_relation::{Table, Value};
+use medshield_relation::{Column, Table, Value};
 use std::collections::BTreeMap;
 
 /// Binning state of one quasi-identifying column: the three node sets of the
@@ -89,45 +89,20 @@ impl BinningAgent {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         maximal: &BTreeMap<String, GeneralizationSet>,
     ) -> Result<BinningOutcome, BinningError> {
-        if self.config.threads == 0 {
-            return Err(BinningError::InvalidThreads);
-        }
-        let quasi: Vec<String> = table
-            .schema()
-            .quasi_names()
-            .into_iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let mut warnings = Vec::new();
         let effective_k = self.config.spec.effective_k();
+        let mut warnings = Vec::new();
 
         // 1. Mono-attribute binning per column.
-        let mut per_column: Vec<(String, GeneralizationSet, GeneralizationSet)> = Vec::new();
-        for column in &quasi {
-            let tree =
-                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.clone()))?;
-            let max_nodes =
-                maximal.get(column).cloned().unwrap_or_else(|| GeneralizationSet::root_only(tree));
-            let mono = mono::generate_minimal_nodes(
-                table,
-                column,
-                tree,
-                &max_nodes,
-                effective_k,
-                self.config.minimal_strategy,
-            )?;
-            warnings.extend(mono.warnings);
-            per_column.push((column.clone(), max_nodes, mono.minimal));
-        }
+        let mut columns = self.mono_binning(table, trees, maximal, &mut warnings)?;
 
         // 2. Multi-attribute binning across all columns.
-        let contexts: Vec<ColumnContext<'_>> = per_column
+        let contexts: Vec<ColumnContext<'_>> = columns
             .iter()
-            .map(|(column, max_nodes, min_nodes)| ColumnContext {
-                column,
-                tree: &trees[column],
-                minimal: min_nodes,
-                maximal: max_nodes,
+            .map(|cb| ColumnContext {
+                column: &cb.column,
+                tree: &trees[&cb.column],
+                minimal: &cb.minimal,
+                maximal: &cb.maximal,
             })
             .collect();
         let multi = multi::generate_ultimate_nodes(
@@ -139,44 +114,13 @@ impl BinningAgent {
             self.config.threads,
         )?;
         warnings.extend(multi.warnings);
-
-        // 3. Binning(tbl, ultigen): encrypt identifiers, generalize quasi values.
-        let mut binned = table.snapshot();
-        let ident_columns: Vec<String> = table
-            .schema()
-            .identifying_indices()
-            .into_iter()
-            .map(|i| table.schema().column(i).expect("index from schema").name.clone())
-            .collect();
-        let ids = binned.ids();
-        for id in &ids {
-            for column in &ident_columns {
-                let v = binned.value(*id, column)?.clone();
-                let encrypted = self.cipher.encrypt_value(&v.canonical_bytes());
-                binned.set_value(*id, column, Value::Text(encrypted))?;
-            }
-            for (i, (column, _, _)) in per_column.iter().enumerate() {
-                let tree = &trees[column];
-                let v = binned.value(*id, column)?.clone();
-                let generalized =
-                    multi.ultimate[i].generalize_value(tree, &v).map_err(BinningError::Dht)?;
-                binned.set_value(*id, column, generalized)?;
-            }
+        for (cb, ultimate) in columns.iter_mut().zip(multi.ultimate) {
+            cb.ultimate = ultimate;
         }
 
-        let columns = per_column
-            .into_iter()
-            .zip(multi.ultimate)
-            .map(|((column, maximal, minimal), ultimate)| ColumnBinning {
-                column,
-                maximal,
-                minimal,
-                ultimate,
-            })
-            .collect();
-
+        // 3. Binning(tbl, ultigen).
         Ok(BinningOutcome {
-            table: binned,
+            table: self.apply(table, trees, &columns)?,
             columns,
             effective_k,
             satisfied: multi.satisfied,
@@ -200,22 +144,37 @@ impl BinningAgent {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         maximal: &BTreeMap<String, GeneralizationSet>,
     ) -> Result<BinningOutcome, BinningError> {
+        let mut warnings = Vec::new();
+        let columns = self.mono_binning(table, trees, maximal, &mut warnings)?;
+        Ok(BinningOutcome {
+            table: self.apply(table, trees, &columns)?,
+            columns,
+            effective_k: self.config.spec.effective_k(),
+            satisfied: warnings.is_empty(),
+            mode: SearchMode::PerAttribute,
+            warnings,
+        })
+    }
+
+    /// Mono-attribute binning of every quasi column, in schema order: the
+    /// minimal generalization nodes under each column's maximal nodes (root
+    /// only when none are stated). The ultimate nodes start out equal to the
+    /// minimal ones. Both binning entry points start here, so this is also
+    /// where a zero thread count is rejected.
+    fn mono_binning(
+        &self,
+        table: &Table,
+        trees: &BTreeMap<String, DomainHierarchyTree>,
+        maximal: &BTreeMap<String, GeneralizationSet>,
+        warnings: &mut Vec<String>,
+    ) -> Result<Vec<ColumnBinning>, BinningError> {
         if self.config.threads == 0 {
             return Err(BinningError::InvalidThreads);
         }
-        let quasi: Vec<String> = table
-            .schema()
-            .quasi_names()
-            .into_iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let mut warnings = Vec::new();
-        let effective_k = self.config.spec.effective_k();
-
-        let mut columns: Vec<ColumnBinning> = Vec::new();
-        for column in &quasi {
+        let mut columns = Vec::new();
+        for column in table.schema().quasi_names() {
             let tree =
-                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.clone()))?;
+                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.to_string()))?;
             let max_nodes =
                 maximal.get(column).cloned().unwrap_or_else(|| GeneralizationSet::root_only(tree));
             let mono = mono::generate_minimal_nodes(
@@ -223,50 +182,46 @@ impl BinningAgent {
                 column,
                 tree,
                 &max_nodes,
-                effective_k,
+                self.config.spec.effective_k(),
                 self.config.minimal_strategy,
             )?;
             warnings.extend(mono.warnings);
             columns.push(ColumnBinning {
-                column: column.clone(),
+                column: column.to_string(),
                 maximal: max_nodes,
                 minimal: mono.minimal.clone(),
                 ultimate: mono.minimal,
             });
         }
+        Ok(columns)
+    }
 
-        // Apply the per-attribute generalization and encrypt identifiers.
+    /// `Binning(tbl, ultigen)` of Fig. 8: a copy of `table` whose
+    /// identifying columns hold `E()` of each value and whose quasi columns
+    /// hold each value's covering ultimate node. Each rewritten column is
+    /// built fresh, row by row, so its dictionary holds only released values
+    /// and never a cleartext identifier or an exact quasi value.
+    fn apply(
+        &self,
+        table: &Table,
+        trees: &BTreeMap<String, DomainHierarchyTree>,
+        columns: &[ColumnBinning],
+    ) -> Result<Table, BinningError> {
+        let schema = table.schema();
         let mut binned = table.snapshot();
-        let ident_columns: Vec<String> = table
-            .schema()
-            .identifying_indices()
-            .into_iter()
-            .map(|i| table.schema().column(i).expect("index from schema").name.clone())
-            .collect();
-        for id in binned.ids() {
-            for column in &ident_columns {
-                let v = binned.value(id, column)?.clone();
-                let encrypted = self.cipher.encrypt_value(&v.canonical_bytes());
-                binned.set_value(id, column, Value::Text(encrypted))?;
-            }
-            for cb in &columns {
-                let tree = &trees[&cb.column];
-                let v = binned.value(id, &cb.column)?.clone();
-                let generalized =
-                    cb.ultimate.generalize_value(tree, &v).map_err(BinningError::Dht)?;
-                binned.set_value(id, &cb.column, generalized)?;
-            }
+        for index in schema.identifying_indices() {
+            rewrite_column(&mut binned, index, &table.columns()[index], |v| {
+                Ok(Value::Text(self.cipher.encrypt_value(&v.canonical_bytes())))
+            })?;
         }
-
-        let satisfied = warnings.is_empty();
-        Ok(BinningOutcome {
-            table: binned,
-            columns,
-            effective_k,
-            satisfied,
-            mode: SearchMode::PerAttribute,
-            warnings,
-        })
+        for cb in columns {
+            let index = schema.index_of(&cb.column)?;
+            let tree = &trees[&cb.column];
+            rewrite_column(&mut binned, index, &table.columns()[index], |v| {
+                cb.ultimate.generalize_value(tree, &v).map_err(BinningError::Dht)
+            })?;
+        }
+        Ok(binned)
     }
 
     /// Bin `table` under information-loss bounds (Eq. 4): first translate the
@@ -296,6 +251,22 @@ impl BinningAgent {
             .decrypt_value(encrypted)
             .map_err(|e| BinningError::NotBinnable { k: 0, reason: format!("decrypt failed: {e}") })
     }
+}
+
+/// Replace column `index` of `binned` with `cell` applied to every value of
+/// `source`, in row order.
+fn rewrite_column(
+    binned: &mut Table,
+    index: usize,
+    source: &Column,
+    cell: impl Fn(Value) -> Result<Value, BinningError>,
+) -> Result<(), BinningError> {
+    let mut fresh = Column::new();
+    for row in 0..source.len() {
+        fresh.push(&cell(source.value(row))?);
+    }
+    *binned.column_mut(index).expect("index from schema") = fresh;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -338,11 +309,13 @@ mod tests {
         let agent = BinningAgent::new(BinningConfig::with_k(2));
         let maximal = maximal_at_depth(&ds.trees, 0);
         let outcome = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
-        for (original, binned) in ds.table.iter().zip(outcome.table.iter()) {
-            let enc = binned.values[0].as_text().unwrap();
-            assert_ne!(Some(enc), original.values[0].as_text(), "ssn must change");
+        let originals = ds.table.column_values("ssn").unwrap();
+        let binned = outcome.table.column_values("ssn").unwrap();
+        for (original, binned) in originals.iter().zip(&binned) {
+            let enc = binned.as_text().unwrap();
+            assert_ne!(Some(enc), original.as_text(), "ssn must change");
             let decrypted = agent.decrypt_identifier(enc).unwrap();
-            assert_eq!(decrypted, original.values[0].canonical_bytes());
+            assert_eq!(decrypted, original.canonical_bytes());
         }
     }
 
@@ -353,8 +326,8 @@ mod tests {
         let maximal = maximal_at_depth(&ds.trees, 0);
         let outcome = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for t in outcome.table.iter() {
-            assert!(seen.insert(t.values[0].clone()), "duplicate encrypted identifier");
+        for ssn in outcome.table.column_values("ssn").unwrap() {
+            assert!(seen.insert(ssn), "duplicate encrypted identifier");
         }
     }
 

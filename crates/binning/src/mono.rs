@@ -181,11 +181,11 @@ mod tests {
         k: usize,
     ) -> bool {
         let mut t = table.snapshot();
-        let ids = t.ids();
-        for id in ids {
-            let v = t.value(id, "role").unwrap().clone();
-            let gen = g.generalize_value(tree, &v).unwrap();
-            t.set_value(id, "role", gen).unwrap();
+        let index = t.schema().index_of("role").unwrap();
+        let column = t.column_mut(index).unwrap();
+        for row in 0..table.len() {
+            let gen = g.generalize_value(tree, &table.value_at(row, index).unwrap()).unwrap();
+            column.set(row, &gen);
         }
         anonymity::column_satisfies_k(&t, "role", k).unwrap()
     }

@@ -709,11 +709,12 @@ mod tests {
         k: usize,
     ) -> bool {
         let mut t = table.snapshot();
-        for id in t.ids() {
-            for ((col, tree), g) in columns.iter().zip(gens.iter()) {
-                let v = t.value(id, col).unwrap().clone();
-                let gv = g.generalize_value(tree, &v).unwrap();
-                t.set_value(id, col, gv).unwrap();
+        for ((col, tree), g) in columns.iter().zip(gens.iter()) {
+            let index = t.schema().index_of(col).unwrap();
+            let column = t.column_mut(index).unwrap();
+            for row in 0..table.len() {
+                let gv = g.generalize_value(tree, &table.value_at(row, index).unwrap()).unwrap();
+                column.set(row, &gv);
             }
         }
         let names: Vec<&str> = columns.iter().map(|(c, _)| *c).collect();

@@ -14,7 +14,6 @@ mod error_code_sync;
 mod forbid_unsafe;
 mod lock_discipline;
 mod no_panic;
-mod no_tuple_materialization;
 
 use crate::diag::Diagnostic;
 use crate::workspace::Workspace;
@@ -24,7 +23,6 @@ pub use error_code_sync::ErrorCodeSync;
 pub use forbid_unsafe::ForbidUnsafe;
 pub use lock_discipline::LockDiscipline;
 pub use no_panic::NoPanic;
-pub use no_tuple_materialization::NoTupleMaterialization;
 
 /// Rust keywords that can precede `[` without it being an index
 /// expression (`let [a, b] = …`, `for x in xs[..] {…}` never lexes `in [`
@@ -55,7 +53,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoPanic),
         Box::new(LockDiscipline),
         Box::new(CheckedFraming),
-        Box::new(NoTupleMaterialization),
         Box::new(ForbidUnsafe),
         Box::new(ErrorCodeSync),
     ]

@@ -68,7 +68,7 @@ pub fn quasi_bin_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medshield_relation::{ColumnDef, ColumnRole, Schema, TupleId, Value};
+    use medshield_relation::{ColumnDef, ColumnRole, Schema, Value};
 
     fn base_table() -> Table {
         let schema = Schema::new(vec![
@@ -102,7 +102,7 @@ mod tests {
         let binned = base_table();
         let mut marked = binned.snapshot();
         // Move one Doctor to Paramedic — both bins change size, none below 2.
-        marked.set_value(TupleId(0), "doctor", Value::text("Paramedic")).unwrap();
+        marked.column_mut(0).unwrap().set(0, &Value::text("Paramedic"));
         let r = column_bin_report(&binned, &marked, "doctor", 2).unwrap();
         assert_eq!(r.total_bins, 2);
         assert_eq!(r.changed_bins, 2);
@@ -116,7 +116,7 @@ mod tests {
         // Shrink the Paramedic/age-40 situation: k = 2 over the age column.
         // Move the single 40-year-old to 30 → the 40 bin disappears (size 0 <
         // 2 is only counted if the value still exists somewhere).
-        marked.set_value(TupleId(5), "age", Value::int(30)).unwrap();
+        marked.column_mut(1).unwrap().set(5, &Value::int(30));
         let r = column_bin_report(&binned, &marked, "age", 2).unwrap();
         // Bins: 30 (changed 5→6) and 40 (changed 1→0, now below k).
         assert_eq!(r.total_bins, 2);
@@ -128,7 +128,7 @@ mod tests {
     fn new_value_in_watermarked_table_is_counted() {
         let binned = base_table();
         let mut marked = binned.snapshot();
-        marked.set_value(TupleId(0), "doctor", Value::text("Nurse")).unwrap();
+        marked.column_mut(0).unwrap().set(0, &Value::text("Nurse"));
         let r = column_bin_report(&binned, &marked, "doctor", 2).unwrap();
         // Bins: Doctor (3→2), Paramedic (3→3), Nurse (0→1, below k).
         assert_eq!(r.total_bins, 3);

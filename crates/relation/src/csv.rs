@@ -12,14 +12,15 @@ use crate::table::Table;
 use crate::value::Value;
 
 /// Serialize a table to CSV text: a header of column names followed by one
-/// line per tuple, values in display form.
+/// line per row, values in display form.
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
     let names: Vec<&str> = table.schema().columns().iter().map(|c| c.name.as_str()).collect();
     out.push_str(&names.join(","));
     out.push('\n');
-    for tuple in table.iter() {
-        let line: Vec<String> = tuple.values.iter().map(|v| escape_field(&v.to_string())).collect();
+    for row in 0..table.len() {
+        let line: Vec<String> =
+            table.columns().iter().map(|c| escape_field(&c.value(row).to_string())).collect();
         out.push_str(&line.join(","));
         out.push('\n');
     }
@@ -214,8 +215,8 @@ mod tests {
         ];
         let parsed = from_csv(&csv, &roles).unwrap();
         assert_eq!(parsed.len(), original.len());
-        assert_eq!(parsed.value(crate::TupleId(1), "age").unwrap(), Value::interval(30, 40));
-        assert_eq!(parsed.value(crate::TupleId(1), "prescription").unwrap(), Value::Null);
+        assert_eq!(parsed.value_at(1, 1), Some(Value::interval(30, 40)));
+        assert_eq!(parsed.value_at(1, 5), Some(Value::Null));
         assert_eq!(parsed.schema().column_by_name("ssn").unwrap().role, ColumnRole::Identifying);
     }
 
@@ -224,7 +225,7 @@ mod tests {
         // ICD-9-like codes such as "428.0" must not be mangled into numbers.
         let csv = to_csv(&sample());
         let parsed = from_csv(&csv, &[]).unwrap();
-        assert_eq!(parsed.value(crate::TupleId(0), "symptom").unwrap(), Value::text("428.0"));
+        assert_eq!(parsed.value_at(0, 4), Some(Value::text("428.0")));
     }
 
     #[test]
@@ -277,9 +278,7 @@ mod tests {
         let once = to_csv(&t);
         let parsed = from_csv(&once, &[("id", ColumnRole::Identifying)]).unwrap();
         assert_eq!(parsed.len(), t.len());
-        for (a, b) in t.iter().zip(parsed.iter()) {
-            assert_eq!(a.values[1], b.values[1]);
-        }
+        assert_eq!(parsed.column_values("note").unwrap(), t.column_values("note").unwrap());
         // Idempotent: a second round-trip reproduces the same text.
         let twice = to_csv(&parsed);
         assert_eq!(once, twice);
@@ -292,8 +291,7 @@ mod tests {
         let text = "note\n\"\"\nx\n";
         let t = from_csv(text, &[]).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value(crate::TupleId(0), "note").unwrap(), Value::Null);
-        assert_eq!(t.value(crate::TupleId(1), "note").unwrap(), Value::text("x"));
+        assert_eq!(t.column_values("note").unwrap(), vec![Value::Null, Value::text("x")]);
     }
 
     #[test]
@@ -303,8 +301,8 @@ mod tests {
         let t_lf = from_csv(lf, &[]).unwrap();
         let t_crlf = from_csv(crlf, &[]).unwrap();
         assert_eq!(t_lf.len(), t_crlf.len());
-        for (a, b) in t_lf.iter().zip(t_crlf.iter()) {
-            assert_eq!(a.values, b.values);
+        for name in ["a", "b"] {
+            assert_eq!(t_lf.column_values(name).unwrap(), t_crlf.column_values(name).unwrap());
         }
         // Mixed separators in one file also work.
         let mixed = "a,b\r\n1,x\n2,y\r\n";

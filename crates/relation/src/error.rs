@@ -14,8 +14,6 @@ pub enum RelationError {
     },
     /// Two columns in a schema share a name.
     DuplicateColumn(String),
-    /// A tuple id was not found in the table.
-    UnknownTuple(u64),
     /// A value had an unexpected type for the operation.
     TypeMismatch {
         /// Human-readable description of what was expected.
@@ -40,7 +38,6 @@ impl std::fmt::Display for RelationError {
                 write!(f, "arity mismatch: schema has {expected} columns, tuple has {actual}")
             }
             RelationError::DuplicateColumn(name) => write!(f, "duplicate column: {name}"),
-            RelationError::UnknownTuple(id) => write!(f, "unknown tuple id: {id}"),
             RelationError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
@@ -61,7 +58,6 @@ mod tests {
     fn display_contains_details() {
         assert!(RelationError::UnknownColumn("age".into()).to_string().contains("age"));
         assert!(RelationError::ArityMismatch { expected: 6, actual: 5 }.to_string().contains('6'));
-        assert!(RelationError::UnknownTuple(42).to_string().contains("42"));
         assert!(RelationError::CsvParse { line: 3, message: "bad int".into() }
             .to_string()
             .contains("line 3"));

@@ -15,9 +15,8 @@
 //!
 //! * [`Value`] — a typed cell value (integer, text, half-open interval, null).
 //! * [`ColumnRole`] / [`ColumnDef`] / [`Schema`] — schema with privacy roles.
-//! * [`Table`] / [`Tuple`] / [`TupleId`] — a columnar store with stable tuple
-//!   ids, insertion, per-column access, predicate-based deletion, and a
-//!   row-materializing compatibility view.
+//! * [`Table`] / [`TupleId`] — a columnar store with stable tuple ids,
+//!   insertion, cell access by row position, and predicate-based deletion.
 //! * [`Column`] / [`ColumnData`] — the typed column vectors behind the table:
 //!   native `i64` vectors for integers, dictionary-encoded code vectors for
 //!   categorical/generalized data; the batch kernels of the binning and
@@ -59,5 +58,5 @@ pub use column::{Column, ColumnData, DictColumn};
 pub use error::RelationError;
 pub use predicate::Predicate;
 pub use schema::{ColumnDef, ColumnRole, Schema};
-pub use table::{Table, Tuple, TupleId};
+pub use table::{Table, TupleId};
 pub use value::Value;

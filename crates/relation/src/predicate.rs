@@ -1,4 +1,4 @@
-//! A small predicate language over tuples.
+//! A small predicate language over table rows.
 //!
 //! Only the constructs the framework and the attack models need: equality,
 //! numeric comparisons, conjunction, disjunction and negation. The paper's
@@ -7,11 +7,10 @@
 //! [`Predicate::and`] of two [`Predicate::gt`]/[`Predicate::lt`] leaves.
 
 use crate::error::RelationError;
-use crate::schema::Schema;
-use crate::table::Tuple;
+use crate::table::Table;
 use crate::value::Value;
 
-/// A boolean predicate over a single tuple.
+/// A boolean predicate over a single row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
@@ -83,25 +82,27 @@ impl Predicate {
         Predicate::gt(column, lo).and(Predicate::lt(column, hi))
     }
 
-    /// Evaluate against a tuple under a schema.
-    pub fn matches(&self, schema: &Schema, tuple: &Tuple) -> Result<bool, RelationError> {
+    /// Evaluate against the row at position `row` of `table`.
+    ///
+    /// # Panics
+    ///
+    /// If a column the predicate names is present but `row` is out of range.
+    pub fn matches(&self, table: &Table, row: usize) -> Result<bool, RelationError> {
+        let cell = |column: &str| -> Result<Value, RelationError> {
+            Ok(table.columns()[table.schema().index_of(column)?].value(row))
+        };
         match self {
             Predicate::True => Ok(true),
-            Predicate::Eq { column, value } => {
-                let idx = schema.index_of(column)?;
-                Ok(&tuple.values[idx] == value)
-            }
+            Predicate::Eq { column, value } => Ok(&cell(column)? == value),
             Predicate::Gt { column, value } => {
-                let idx = schema.index_of(column)?;
-                Ok(compare(&tuple.values[idx], value) == std::cmp::Ordering::Greater)
+                Ok(compare(&cell(column)?, value) == std::cmp::Ordering::Greater)
             }
             Predicate::Lt { column, value } => {
-                let idx = schema.index_of(column)?;
-                Ok(compare(&tuple.values[idx], value) == std::cmp::Ordering::Less)
+                Ok(compare(&cell(column)?, value) == std::cmp::Ordering::Less)
             }
-            Predicate::And(a, b) => Ok(a.matches(schema, tuple)? && b.matches(schema, tuple)?),
-            Predicate::Or(a, b) => Ok(a.matches(schema, tuple)? || b.matches(schema, tuple)?),
-            Predicate::Not(a) => Ok(!a.matches(schema, tuple)?),
+            Predicate::And(a, b) => Ok(a.matches(table, row)? && b.matches(table, row)?),
+            Predicate::Or(a, b) => Ok(a.matches(table, row)? || b.matches(table, row)?),
+            Predicate::Not(a) => Ok(!a.matches(table, row)?),
         }
     }
 }
@@ -116,8 +117,7 @@ fn compare(a: &Value, b: &Value) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, ColumnRole};
-    use crate::table::Table;
+    use crate::schema::{ColumnDef, ColumnRole, Schema};
 
     fn table() -> Table {
         let schema = Schema::new(vec![

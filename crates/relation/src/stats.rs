@@ -173,7 +173,6 @@ pub fn numeric_mean(table: &Table, column: &str) -> Result<Option<f64>, Relation
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnRole, Schema};
-    use crate::table::TupleId;
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -234,8 +233,10 @@ mod tests {
         // Overwriting the only "Surgeon" rows leaves the entry interned but
         // unreferenced; the live distinct count must not include it.
         let mut t = table();
-        t.set_value(TupleId(0), "doctor", Value::text("Nurse")).unwrap();
-        t.set_value(TupleId(1), "doctor", Value::text("Nurse")).unwrap();
+        let doctor = t.schema().index_of("doctor").unwrap();
+        for row in [0, 1] {
+            t.column_mut(doctor).unwrap().set(row, &Value::text("Nurse"));
+        }
         assert_eq!(distinct_count(&t, "doctor").unwrap(), 1);
         let counts = value_counts(&t, "doctor").unwrap();
         assert_eq!(counts.len(), 1);
@@ -278,7 +279,8 @@ mod tests {
     fn numeric_mean_over_mixed_dictionary_column() {
         // A promoted column mixing ints and intervals averages the ints only.
         let mut t = table();
-        t.set_value(TupleId(0), "age", Value::interval(30, 40)).unwrap();
+        let age = t.schema().index_of("age").unwrap();
+        t.column_mut(age).unwrap().set(0, &Value::interval(30, 40));
         assert_eq!(numeric_mean(&t, "age").unwrap(), Some((30 + 30 + 40 + 40) as f64 / 4.0));
     }
 }

@@ -9,9 +9,9 @@
 //! Storage is column-major: one typed [`Column`] per schema column (native
 //! `i64` vectors for integer data, dictionary-encoded code vectors for
 //! everything else — see the [`column`](crate::column) module), plus one id
-//! vector. The row-major [`Tuple`] remains as a materialized view for callers
-//! that want whole rows ([`Table::get`], [`Table::iter`], [`Table::tuples`]);
-//! the hot paths read [`Table::columns`] directly.
+//! vector. A cell is addressed by row position and column index
+//! ([`Table::value_at`], [`Table::column`], [`Table::column_mut`]); ids only
+//! name the rows to keep or delete ([`Table::select`], [`Table::delete_ids`]).
 
 use crate::column::Column;
 use crate::error::RelationError;
@@ -26,25 +26,6 @@ pub struct TupleId(pub u64);
 impl std::fmt::Display for TupleId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}", self.0)
-    }
-}
-
-/// A single materialized row: a tuple id plus one value per schema column.
-///
-/// With the columnar core this is a *view*, produced on demand; mutating a
-/// `Tuple` does not write back to the table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tuple {
-    /// Stable id of this tuple.
-    pub id: TupleId,
-    /// Values, one per column, in schema order.
-    pub values: Vec<Value>,
-}
-
-impl Tuple {
-    /// The value at column `index`, if in range.
-    pub fn value(&self, index: usize) -> Option<&Value> {
-        self.values.get(index)
     }
 }
 
@@ -128,18 +109,6 @@ impl Table {
         Ok(ids)
     }
 
-    /// Materialize the row at position `row` (not id) as a [`Tuple`].
-    pub fn row(&self, row: usize) -> Option<Tuple> {
-        let id = *self.ids.get(row)?;
-        let values = self.columns.iter().map(|c| c.value(row)).collect();
-        Some(Tuple { id, values })
-    }
-
-    /// The position of tuple `id`, if present.
-    pub fn row_of(&self, id: TupleId) -> Option<usize> {
-        self.ids.iter().position(|&t| t == id)
-    }
-
     /// The value at (`row` position, `column` index), materialized.
     pub fn value_at(&self, row: usize, column: usize) -> Option<Value> {
         let c = self.columns.get(column)?;
@@ -148,49 +117,6 @@ impl Table {
         } else {
             None
         }
-    }
-
-    /// Iterate over all tuples in insertion order, materializing each row.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.len()).map(|row| {
-            let values = self.columns.iter().map(|c| c.value(row)).collect();
-            Tuple { id: self.ids[row], values }
-        })
-    }
-
-    /// All tuples materialized as rows, in insertion order.
-    ///
-    /// This is the row-major compatibility view; it clones every cell. Hot
-    /// paths (binning, watermark kernels, the engine) read
-    /// [`Table::columns`] instead — medlint's `no-tuple-materialization`
-    /// rule enforces that in the migrated modules.
-    pub fn tuples(&self) -> Vec<Tuple> {
-        self.iter().collect()
-    }
-
-    /// Fetch a tuple by id, materialized.
-    pub fn get(&self, id: TupleId) -> Option<Tuple> {
-        self.row(self.row_of(id)?)
-    }
-
-    /// Read the value of column `column` in tuple `id`, materialized.
-    pub fn value(&self, id: TupleId, column: &str) -> Result<Value, RelationError> {
-        let idx = self.schema.index_of(column)?;
-        let row = self.row_of(id).ok_or(RelationError::UnknownTuple(id.0))?;
-        Ok(self.columns[idx].value(row))
-    }
-
-    /// Overwrite the value of column `column` in tuple `id`.
-    pub fn set_value(
-        &mut self,
-        id: TupleId,
-        column: &str,
-        value: Value,
-    ) -> Result<(), RelationError> {
-        let idx = self.schema.index_of(column)?;
-        let row = self.row_of(id).ok_or(RelationError::UnknownTuple(id.0))?;
-        self.columns[idx].set(row, &value);
-        Ok(())
     }
 
     /// All values of one column, materialized in row order.
@@ -203,9 +129,9 @@ impl Table {
     /// Ids of tuples satisfying `predicate`.
     pub fn select(&self, predicate: &Predicate) -> Result<Vec<TupleId>, RelationError> {
         let mut out = Vec::new();
-        for tuple in self.iter() {
-            if predicate.matches(&self.schema, &tuple)? {
-                out.push(tuple.id);
+        for (row, &id) in self.ids.iter().enumerate() {
+            if predicate.matches(self, row)? {
+                out.push(id);
             }
         }
         Ok(out)
@@ -300,12 +226,12 @@ mod tests {
     #[test]
     fn value_access_and_update() {
         let mut t = small_table();
-        assert_eq!(t.value(TupleId(1), "age").unwrap(), Value::int(61));
-        t.set_value(TupleId(1), "age", Value::interval(60, 70)).unwrap();
-        assert_eq!(t.value(TupleId(1), "age").unwrap(), Value::interval(60, 70));
-        assert!(t.value(TupleId(1), "nope").is_err());
-        assert!(t.value(TupleId(99), "age").is_err());
-        assert!(t.set_value(TupleId(99), "age", Value::Null).is_err());
+        assert_eq!(t.value_at(1, 1), Some(Value::int(61)));
+        t.column_mut(1).unwrap().set(1, &Value::interval(60, 70));
+        assert_eq!(t.value_at(1, 1), Some(Value::interval(60, 70)));
+        assert_eq!(t.value_at(0, 1), Some(Value::int(34)), "other rows keep their values");
+        assert!(t.column_values("nope").is_err());
+        assert!(t.column_mut(9).is_none());
     }
 
     #[test]
@@ -333,8 +259,7 @@ mod tests {
         let mut t = small_table();
         assert_eq!(t.delete_ids(&[TupleId(1)]), 1);
         assert_eq!(t.ids(), vec![TupleId(0), TupleId(2)]);
-        assert!(t.get(TupleId(1)).is_none());
-        assert!(t.get(TupleId(2)).is_some());
+        assert_eq!(t.column_values("ssn").unwrap(), vec![Value::text("s1"), Value::text("s3")]);
         // Deleting again is a no-op.
         assert_eq!(t.delete_ids(&[TupleId(1)]), 0);
     }
@@ -355,30 +280,28 @@ mod tests {
         assert_eq!(hits, vec![TupleId(0), TupleId(2)]);
         assert_eq!(t.delete_where(&pred).unwrap(), 2);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.iter().next().unwrap().id, TupleId(1));
+        assert_eq!(t.ids(), vec![TupleId(1)]);
+        assert_eq!(t.value_at(0, 0), Some(Value::text("s2")));
     }
 
     #[test]
     fn snapshot_is_independent() {
         let mut t = small_table();
         let snap = t.snapshot();
-        t.set_value(TupleId(0), "age", Value::int(99)).unwrap();
-        assert_eq!(snap.value(TupleId(0), "age").unwrap(), Value::int(34));
-        assert_eq!(t.value(TupleId(0), "age").unwrap(), Value::int(99));
+        t.column_mut(1).unwrap().set(0, &Value::int(99));
+        assert_eq!(snap.value_at(0, 1), Some(Value::int(34)));
+        assert_eq!(t.value_at(0, 1), Some(Value::int(99)));
     }
 
     #[test]
     fn materialized_views_expose_rows_in_order() {
         let t = small_table();
-        let ids: Vec<TupleId> = t.tuples().iter().map(|tp| tp.id).collect();
-        assert_eq!(ids, t.ids());
-        for (row, tuple) in t.iter().enumerate() {
-            assert_eq!(t.row(row).unwrap(), tuple);
-            for (col, value) in tuple.values.iter().enumerate() {
-                assert_eq!(t.value_at(row, col).as_ref(), Some(value));
+        for (col, def) in t.schema().columns().iter().enumerate() {
+            for (row, value) in t.column_values(&def.name).unwrap().into_iter().enumerate() {
+                assert_eq!(t.value_at(row, col), Some(value));
             }
         }
-        assert!(t.row(3).is_none());
+        assert!(t.value_at(3, 0).is_none());
         assert!(t.value_at(0, 9).is_none());
         assert!(t.value_at(9, 0).is_none());
     }
@@ -391,8 +314,8 @@ mod tests {
         let dict = t.column_mut(2).unwrap().promote();
         let nurse = dict.intern(&Value::text("Nurse"));
         dict.set_code(0, nurse);
-        assert_eq!(t.value(TupleId(0), "doctor").unwrap(), Value::text("Nurse"));
-        assert_eq!(t.value(TupleId(1), "doctor").unwrap(), Value::text("Pharmacist"));
+        assert_eq!(t.value_at(0, 2), Some(Value::text("Nurse")));
+        assert_eq!(t.value_at(1, 2), Some(Value::text("Pharmacist")));
     }
 
     #[test]

@@ -53,11 +53,12 @@ proptest! {
         ];
         let parsed = csv::from_csv(&text, &roles).unwrap();
         prop_assert_eq!(parsed.len(), table.len());
-        for (orig, new) in table.iter().zip(parsed.iter()) {
-            for (o, n) in orig.values.iter().zip(new.values.iter()) {
+        for name in ["id", "a", "b"] {
+            let originals = table.column_values(name).unwrap();
+            for (o, n) in originals.iter().zip(parsed.column_values(name).unwrap()) {
                 // Normalization: whitespace-only text collapses to Null and
                 // numeric-looking text becomes Int; both are idempotent.
-                prop_assert_eq!(n, &Value::parse(&o.to_string()));
+                prop_assert_eq!(n, Value::parse(&o.to_string()));
             }
         }
         prop_assert_eq!(parsed.schema().quasi_names(), table.schema().quasi_names());
@@ -73,9 +74,14 @@ proptest! {
         let removed = working.delete_where(&predicate).unwrap();
         prop_assert_eq!(removed, selected.len());
         prop_assert_eq!(working.len(), table.len() - removed);
-        for tuple in working.iter() {
-            prop_assert!(!selected.contains(&tuple.id));
-            prop_assert_eq!(&table.get(tuple.id).unwrap().values, &tuple.values);
+        // The survivors are exactly the unselected rows, in order, unchanged.
+        let ids = table.ids();
+        let kept: Vec<usize> = (0..ids.len()).filter(|&row| !selected.contains(&ids[row])).collect();
+        prop_assert_eq!(working.ids(), kept.iter().map(|&row| ids[row]).collect::<Vec<_>>());
+        for (row, &original_row) in kept.iter().enumerate() {
+            for c in 0..3 {
+                prop_assert_eq!(working.value_at(row, c), table.value_at(original_row, c));
+            }
         }
     }
 
@@ -89,36 +95,35 @@ proptest! {
 
     /// The columnar core is invisible at the API: after arbitrary edits
     /// (including ones that force Int→Dict column promotion and grow the
-    /// dictionaries), the materialized `tuples()` view, the per-cell
-    /// accessors, and a row-by-row rebuild of the table all describe the same
-    /// relation — and the CSV bytes of the columnar table and the row-wise
-    /// rebuild are identical.
+    /// dictionaries), the whole-column view, the per-cell accessor, and a
+    /// row-by-row rebuild of the table all describe the same relation — and
+    /// the CSV bytes of the columnar table and the row-wise rebuild are
+    /// identical.
     #[test]
     fn columnar_views_roundtrip_through_rows(
         table in arb_table(),
         edits in prop::collection::vec((any::<u16>(), 0usize..3, arb_value()), 0..25),
     ) {
         let mut table = table;
-        let ids = table.ids();
-        if !ids.is_empty() {
+        if !table.is_empty() {
             for (pick, col, v) in edits {
-                let id = ids[pick as usize % ids.len()];
-                let name = ["id", "a", "b"][col];
-                table.set_value(id, name, v).unwrap();
+                let row = pick as usize % table.len();
+                table.column_mut(col).unwrap().set(row, &v);
             }
         }
-        // Row-wise rebuild from the materialized tuple view.
+        // Row-wise rebuild from the positional accessor.
         let mut rebuilt = Table::new(table.schema().clone());
-        for tuple in table.tuples() {
-            rebuilt.insert(tuple.values).unwrap();
+        for row in 0..table.len() {
+            rebuilt.insert((0..3).map(|c| table.value_at(row, c).unwrap()).collect()).unwrap();
         }
         prop_assert_eq!(rebuilt.len(), table.len());
-        // Every cell agrees across the iterator view, the positional
-        // accessor, and the rebuilt row store.
-        for (row, (orig, new)) in table.iter().zip(rebuilt.iter()).enumerate() {
-            for (c, (o, n)) in orig.values.iter().zip(new.values.iter()).enumerate() {
-                prop_assert_eq!(o, n);
-                prop_assert_eq!(&table.value_at(row, c).unwrap(), o);
+        // Every cell agrees across the column view, the positional accessor,
+        // and the rebuilt row store.
+        for (c, name) in ["id", "a", "b"].into_iter().enumerate() {
+            let column = table.column_values(name).unwrap();
+            prop_assert_eq!(&column, &rebuilt.column_values(name).unwrap());
+            for (row, value) in column.iter().enumerate() {
+                prop_assert_eq!(&table.value_at(row, c).unwrap(), value);
             }
         }
         prop_assert_eq!(csv::to_csv(&rebuilt), csv::to_csv(&table));

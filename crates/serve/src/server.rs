@@ -68,13 +68,13 @@ use crate::store::{
     lock_unpoisoned, DurableStore, MemoryStore, ReleaseStore, StoreError, StoredRecipient,
     StoredRelease,
 };
-use medshield_core::{PipelineError, ProtectionConfig, ProtectionEngine};
+use medshield_core::{PipelineError, ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::ontology;
 use medshield_dht::DomainHierarchyTree;
 use medshield_metrics::mark_loss;
 use medshield_relation::{csv, ColumnRole, Table};
 use medshield_watermark::{
-    derive_recipient_mark, score_recipients, DetectionReport, Mark, OwnershipProof,
+    derive_recipient_mark, score_recipients, DetectionReport, EmbeddingReport, Mark, OwnershipProof,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write as _};
@@ -1197,54 +1197,23 @@ fn handle_request(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Req
 }
 
 fn handle_protect(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Request) -> Response {
-    let table = match parse_body(request) {
-        Ok(table) => table,
-        Err(response) => return response,
-    };
-    let per_attribute = match param(request, "per-attribute", shared.config.per_attribute_default) {
-        Ok(v) => v,
-        Err(response) => return response,
-    };
-    let result = if per_attribute {
-        engine.protect_per_attribute(&table, &shared.trees)
-    } else {
-        engine.protect(&table, &shared.trees)
-    };
-    let release = match result {
+    let release = match protect_body(shared, engine, request) {
         Ok(release) => release,
-        Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
+        Err(response) => return response,
     };
-    let id = match shared.store.append(StoredRelease {
-        columns: release.binning.columns.clone(),
-        mark: release.mark.clone(),
-        ownership: release.ownership.clone(),
-        recipients: Vec::new(),
-    }) {
+    let id = match append_release(shared, &release) {
         Ok(id) => id,
-        Err(e) => {
-            return error_response(
-                ErrorCode::Storage,
-                &format!("the release could not be stored: {e}"),
-            );
-        }
+        Err(response) => return response,
     };
-    let body = csv::to_csv(&release.table);
-    ok_response(
-        vec![
-            ("release", format!("r{id}").into()),
-            ("rows", release.table.len().into()),
-            ("selected_tuples", release.embedding.selected_tuples.into()),
-            ("embedded_cells", release.embedding.embedded_cells.into()),
-            ("changed_cells", release.embedding.changed_cells.into()),
-            ("skipped_cells", release.embedding.skipped_cells.into()),
-            ("wmd_len", release.embedding.wmd_len.into()),
-            ("satisfied", release.binning.satisfied.into()),
-            ("mark", release.mark.to_string().into()),
-            ("has_ownership_proof", release.ownership.is_some().into()),
-            ("warnings", str_arr(&release.binning.warnings)),
-        ],
-        Some(body),
-    )
+    let mut fields = vec![("release", format!("r{id}").into())];
+    fields.extend(embedding_fields(release.table.len(), &release.embedding));
+    fields.extend([
+        ("satisfied", release.binning.satisfied.into()),
+        ("mark", release.mark.to_string().into()),
+        ("has_ownership_proof", release.ownership.is_some().into()),
+        ("warnings", str_arr(&release.binning.warnings)),
+    ]);
+    ok_response(fields, Some(csv::to_csv(&release.table)))
 }
 
 /// `protect-for`: produce a per-recipient fingerprinted copy of a release.
@@ -1296,38 +1265,17 @@ fn handle_protect_for(
             Ok(count) => count,
             Err(response) => return response,
         };
-        ok_response(
-            vec![
-                ("release", format!("r{id}").into()),
-                ("recipient", recipient_name.into()),
-                ("recipients", recipients.into()),
-                ("rows", copy.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-            ],
-            Some(csv::to_csv(&copy)),
-        )
+        let mut fields = vec![
+            ("release", format!("r{id}").into()),
+            ("recipient", recipient_name.into()),
+            ("recipients", recipients.into()),
+        ];
+        fields.extend(embedding_fields(copy.len(), &report));
+        ok_response(fields, Some(csv::to_csv(&copy)))
     } else {
-        let table = match parse_body(request) {
-            Ok(table) => table,
-            Err(response) => return response,
-        };
-        let per_attribute =
-            match param(request, "per-attribute", shared.config.per_attribute_default) {
-                Ok(v) => v,
-                Err(response) => return response,
-            };
-        let result = if per_attribute {
-            engine.protect_per_attribute(&table, &shared.trees)
-        } else {
-            engine.protect(&table, &shared.trees)
-        };
-        let release = match result {
+        let release = match protect_body(shared, engine, request) {
             Ok(release) => release,
-            Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
+            Err(response) => return response,
         };
         let copied =
             engine.embed(&release.table, &release.binning.columns, &shared.trees, &recipient_mark);
@@ -1335,42 +1283,71 @@ fn handle_protect_for(
             Ok(v) => v,
             Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
         };
-        let id = match shared.store.append(StoredRelease {
-            columns: release.binning.columns.clone(),
-            mark: release.mark.clone(),
-            ownership: release.ownership.clone(),
-            recipients: Vec::new(),
-        }) {
+        let id = match append_release(shared, &release) {
             Ok(id) => id,
-            Err(e) => {
-                return error_response(
-                    ErrorCode::Storage,
-                    &format!("the release could not be stored: {e}"),
-                );
-            }
+            Err(response) => return response,
         };
         let recipients = match register_recipient(shared, id, &recipient_name, &recipient_mark) {
             Ok(count) => count,
             Err(response) => return response,
         };
-        ok_response(
-            vec![
-                ("release", format!("r{id}").into()),
-                ("recipient", recipient_name.into()),
-                ("recipients", recipients.into()),
-                ("rows", copy.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-                ("satisfied", release.binning.satisfied.into()),
-                ("has_ownership_proof", release.ownership.is_some().into()),
-                ("warnings", str_arr(&release.binning.warnings)),
-            ],
-            Some(csv::to_csv(&copy)),
-        )
+        let mut fields = vec![
+            ("release", format!("r{id}").into()),
+            ("recipient", recipient_name.into()),
+            ("recipients", recipients.into()),
+        ];
+        fields.extend(embedding_fields(copy.len(), &report));
+        fields.extend([
+            ("satisfied", release.binning.satisfied.into()),
+            ("has_ownership_proof", release.ownership.is_some().into()),
+            ("warnings", str_arr(&release.binning.warnings)),
+        ]);
+        ok_response(fields, Some(csv::to_csv(&copy)))
     }
+}
+
+/// Parse the body as an original table and protect it, per attribute when
+/// the `per-attribute` parameter (or the server default) asks for it.
+fn protect_body(
+    shared: &Arc<Shared>,
+    engine: &ProtectionEngine,
+    request: &Request,
+) -> Result<ProtectedRelease, Response> {
+    let table = parse_body(request)?;
+    let per_attribute = param(request, "per-attribute", shared.config.per_attribute_default)?;
+    let result = if per_attribute {
+        engine.protect_per_attribute(&table, &shared.trees)
+    } else {
+        engine.protect(&table, &shared.trees)
+    };
+    result.map_err(|e| error_response(ErrorCode::Engine, &e.to_string()))
+}
+
+/// Append the release record of `release` to the store, returning its id.
+fn append_release(shared: &Arc<Shared>, release: &ProtectedRelease) -> Result<u64, Response> {
+    shared
+        .store
+        .append(StoredRelease {
+            columns: release.binning.columns.clone(),
+            mark: release.mark.clone(),
+            ownership: release.ownership.clone(),
+            recipients: Vec::new(),
+        })
+        .map_err(|e| {
+            error_response(ErrorCode::Storage, &format!("the release could not be stored: {e}"))
+        })
+}
+
+/// The reply fields every embedding command shares, in wire order.
+fn embedding_fields(rows: usize, report: &EmbeddingReport) -> [(&'static str, Json); 6] {
+    [
+        ("rows", rows.into()),
+        ("selected_tuples", report.selected_tuples.into()),
+        ("embedded_cells", report.embedded_cells.into()),
+        ("changed_cells", report.changed_cells.into()),
+        ("skipped_cells", report.skipped_cells.into()),
+        ("wmd_len", report.wmd_len.into()),
+    ]
 }
 
 /// Register `name` as a recipient of release `id`, returning the recipient
@@ -1497,14 +1474,7 @@ fn handle_embed(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Reque
     };
     match engine.embed(&table, &stored.columns, &shared.trees, &stored.mark) {
         Ok((marked, report)) => ok_response(
-            vec![
-                ("rows", marked.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-            ],
+            embedding_fields(marked.len(), &report).to_vec(),
             Some(csv::to_csv(&marked)),
         ),
         Err(e) => error_response(ErrorCode::Engine, &e.to_string()),

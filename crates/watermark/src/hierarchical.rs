@@ -452,12 +452,13 @@ mod tests {
         let (marked, report) = wm.embed(&binned, &ds.trees, &mark).unwrap();
         assert!(report.embedded_cells > 0, "the granular column must carry bits");
         // Only the chosen column may differ from the binned table.
-        for (a, b) in binned.table.iter().zip(marked.iter()) {
-            for (idx, col) in binned.table.schema().columns().iter().enumerate() {
-                if col.name != target {
-                    assert_eq!(a.values[idx], b.values[idx], "column {} changed", col.name);
-                }
-            }
+        for col in binned.table.schema().columns().iter().filter(|c| c.name != target) {
+            assert_eq!(
+                binned.table.column_values(&col.name).unwrap(),
+                marked.column_values(&col.name).unwrap(),
+                "column {} changed",
+                col.name
+            );
         }
         // And detection restricted to that column still works.
         let detected = wm.detect(&marked, &binned.columns, &ds.trees, mark.len()).unwrap();
@@ -526,8 +527,10 @@ mod tests {
             Schema::new(keep.iter().map(|&i| marked.schema().columns()[i].clone()).collect())
                 .unwrap();
         let mut suspect = Table::new(schema);
-        for tuple in marked.iter() {
-            suspect.insert(keep.iter().map(|&i| tuple.values[i].clone()).collect()).unwrap();
+        for row in 0..marked.len() {
+            suspect
+                .insert(keep.iter().map(|&i| marked.value_at(row, i).unwrap()).collect())
+                .unwrap();
         }
 
         let report = wm.detect(&suspect, &binned.columns, &ds.trees, mark.len()).unwrap();

@@ -65,7 +65,7 @@ enum IdentField {
 }
 
 /// The per-run identity encoder: emits exactly the bytes of
-/// [`ResolvedIdentity::bytes`] for any row, without materializing a tuple.
+/// [`ResolvedIdentity::bytes`] for any row, without materializing a `Value`.
 #[derive(Debug, Clone)]
 struct IdentCodec {
     fields: Vec<IdentField>,
@@ -667,4 +667,87 @@ fn single_level_cell_vote(
     }
     let Some(idx) = DomainHierarchyTree::index_in(node, &siblings) else { return Ok(None) };
     Ok(Some(idx % 2 == 1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::select::TupleIdentity;
+    use medshield_relation::{ColumnDef, ColumnRole, Schema};
+
+    /// `id` is an integer identifier, `ssn` a text one; `age` and `doctor`
+    /// serve as a virtual key mixing both encodings.
+    fn table() -> Table {
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ColumnRole::Identifying),
+            ColumnDef::new("ssn", ColumnRole::Identifying),
+            ColumnDef::new("age", ColumnRole::QuasiNumeric),
+            ColumnDef::new("doctor", ColumnRole::QuasiCategorical),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..40i64 {
+            t.insert(vec![
+                Value::int(i * 7 - 100),
+                Value::text(format!("ssn-{}", i % 13)),
+                Value::int(20 + i % 5),
+                if i % 4 == 0 { Value::Null } else { Value::text(format!("doc-{}", i % 3)) },
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    /// Every row's codec bytes equal the reference `ResolvedIdentity::bytes`.
+    fn assert_codec_matches(codec: &IdentCodec, identity: &ResolvedIdentity, table: &Table) {
+        for row in 0..table.len() {
+            let mut out = Vec::new();
+            codec.write(table.columns(), row, &mut out);
+            assert_eq!(out, identity.bytes(table, row), "row {row}");
+        }
+    }
+
+    fn resolve(identity: &TupleIdentity, table: &Table) -> ResolvedIdentity {
+        identity.resolve(table.schema()).unwrap()
+    }
+
+    #[test]
+    fn codec_matches_reference_on_int_and_dict_identifiers() {
+        let t = table();
+        let identity = resolve(&TupleIdentity::IdentifyingColumns, &t);
+        let codec = IdentCodec::build(&identity, &t);
+        assert!(matches!(codec.fields[0], IdentField::Int { col: 0 }));
+        assert!(matches!(codec.fields[1], IdentField::Dict { col: 1, .. }));
+        assert_codec_matches(&codec, &identity, &t);
+    }
+
+    #[test]
+    fn codec_matches_reference_on_a_virtual_key() {
+        let t = table();
+        let identity = resolve(&TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]), &t);
+        assert_codec_matches(&IdentCodec::build(&identity, &t), &identity, &t);
+    }
+
+    #[test]
+    fn codec_falls_back_for_a_column_promoted_after_build() {
+        let mut t = table();
+        let identity = resolve(&TupleIdentity::IdentifyingColumns, &t);
+        let codec = IdentCodec::build(&identity, &t);
+        // A non-integer write promotes the integer column to a dictionary.
+        t.column_mut(0).unwrap().set(3, &Value::interval(0, 10));
+        assert!(t.column(0).unwrap().as_dict().is_some());
+        assert_codec_matches(&codec, &identity, &t);
+    }
+
+    #[test]
+    fn codec_falls_back_for_a_code_interned_after_build() {
+        let mut t = table();
+        let identity = resolve(&TupleIdentity::IdentifyingColumns, &t);
+        let codec = IdentCodec::build(&identity, &t);
+        let IdentField::Dict { framed, .. } = &codec.fields[1] else { panic!("dict field") };
+        let built = framed.len();
+        t.column_mut(1).unwrap().set(5, &Value::text("ssn-new"));
+        assert_eq!(t.column(1).unwrap().as_dict().unwrap().codes()[5] as usize, built);
+        assert_codec_matches(&codec, &identity, &t);
+    }
 }

@@ -32,10 +32,11 @@ impl OwnershipProof {
     /// Compute the proof from the *original* (pre-binning) table: the mean of
     /// the numeric projections of the identifying column values.
     pub fn from_original_table(table: &Table, mark_len: usize) -> Option<OwnershipProof> {
-        let ident_indices = table.schema().identifying_indices();
-        let first = *ident_indices.first()?;
-        let values: Vec<f64> =
-            table.iter().map(|t| numeric_projection(&t.values[first].canonical_bytes())).collect();
+        let first = *table.schema().identifying_indices().first()?;
+        let column = table.column(first)?;
+        let values: Vec<f64> = (0..column.len())
+            .map(|row| numeric_projection(&column.value(row).canonical_bytes()))
+            .collect();
         if values.is_empty() {
             return None;
         }
@@ -178,6 +179,18 @@ mod tests {
         t
     }
 
+    /// `original` with its `ssn` column encrypted under `cipher`, as binning
+    /// releases it.
+    fn encrypted(original: &Table, cipher: &medshield_crypto::Aes128) -> Table {
+        let mut disputed = original.snapshot();
+        let ssn = disputed.column_mut(0).unwrap();
+        for row in 0..original.len() {
+            let enc = cipher.encrypt_value(&original.value_at(row, 0).unwrap().canonical_bytes());
+            ssn.set(row, &Value::Text(enc));
+        }
+        disputed
+    }
+
     #[test]
     fn numeric_projection_reads_digits() {
         assert_eq!(numeric_projection(b"123-45-6789"), 123_456_789.0);
@@ -208,12 +221,7 @@ mod tests {
         let original = original_table(400);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
         // Build the "binned" table: encrypted identifiers.
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            let enc = cipher.encrypt_value(&v.canonical_bytes());
-            disputed.set_value(id, "ssn", Value::Text(enc)).unwrap();
-        }
+        let disputed = encrypted(&original, &cipher);
         let claim = OwnershipProof::from_original_table(&original, 20).unwrap();
         let extracted = claim.mark();
         let verdict = resolve_dispute(
@@ -235,13 +243,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(1000);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let mut disputed = encrypted(&original, &cipher);
         // The attacker deletes 20% of the tuples, spread across the table.
         let victims: Vec<_> = disputed.ids().into_iter().step_by(5).collect();
         disputed.delete_ids(&victims);
@@ -266,13 +268,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(300);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let disputed = encrypted(&original, &cipher);
         // The attacker claims ownership with his own (different) statistic and
         // cannot decrypt the identifiers, so the recomputation fails.
         let attacker_claim = OwnershipProof { statistic: 42.0, mark_len: 20 };
@@ -294,13 +290,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(300);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let disputed = encrypted(&original, &cipher);
         let claim = OwnershipProof::from_original_table(&original, 20).unwrap();
         // The extracted mark is garbage (e.g. the mark was destroyed or was
         // never this owner's): flip every bit of F(v).

@@ -9,7 +9,7 @@
 use crate::error::WatermarkError;
 use crate::key::WatermarkKey;
 use medshield_crypto::KeyedPrf;
-use medshield_relation::{Schema, Table, Tuple};
+use medshield_relation::{Schema, Table};
 use std::collections::BTreeSet;
 
 /// How a tuple's identity bytes are derived for the keyed hashes.
@@ -33,9 +33,8 @@ impl TupleIdentity {
         }
     }
 
-    /// Resolve the identity source against a schema once, so the per-tuple
-    /// byte derivation needs no table access (the chunk-parallel engine hands
-    /// workers bare `&[Tuple]` slices).
+    /// Resolve the identity source against a schema once, so the per-row
+    /// byte derivation needs no column lookup by name.
     ///
     /// A [`TupleIdentity::VirtualKey`] naming the same column twice is
     /// rejected: the duplicate adds no entropy but makes two keys over
@@ -65,30 +64,27 @@ impl TupleIdentity {
         };
         Ok(ResolvedIdentity { indices })
     }
-
-    /// The identity bytes of `tuple` within `table`.
-    pub fn bytes(&self, table: &Table, tuple: &Tuple) -> Result<Vec<u8>, WatermarkError> {
-        Ok(self.resolve(table.schema())?.bytes(tuple))
-    }
 }
 
 /// A [`TupleIdentity`] resolved against a schema: the column indices whose
-/// values form a tuple's identity, ready for per-tuple use without a table.
+/// values form a row's identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedIdentity {
     indices: Vec<usize>,
 }
 
 impl ResolvedIdentity {
-    /// The identity bytes of one tuple: each identity field's canonical bytes
-    /// prefixed by its 64-bit big-endian length. The framing keeps the
-    /// concatenation injective regardless of the field encoding — two
-    /// distinct tuples cannot collide to one identity by shifting bytes
-    /// across a field boundary (e.g. `("ab", "c")` vs `("a", "bc")`).
-    pub fn bytes(&self, tuple: &Tuple) -> Vec<u8> {
+    /// The identity bytes of the row at position `row` of `table`: each
+    /// identity field's canonical bytes prefixed by its 64-bit big-endian
+    /// length. The framing keeps the concatenation injective regardless of
+    /// the field encoding — two distinct rows cannot collide to one identity
+    /// by shifting bytes across a field boundary (e.g. `("ab", "c")` vs
+    /// `("a", "bc")`). This is the reference encoding the batch kernels'
+    /// precomputed identity codec must reproduce.
+    pub fn bytes(&self, table: &Table, row: usize) -> Vec<u8> {
         let mut out = Vec::new();
         for &i in &self.indices {
-            let field = tuple.values[i].canonical_bytes();
+            let field = table.columns()[i].value(row).canonical_bytes();
             out.extend_from_slice(&(field.len() as u64).to_be_bytes());
             out.extend_from_slice(&field);
         }
@@ -214,27 +210,24 @@ mod tests {
     #[test]
     fn identity_from_identifying_columns() {
         let t = table();
-        let id = TupleIdentity::IdentifyingColumns;
-        let first = t.iter().next().unwrap();
-        let bytes = id.bytes(&t, &first).unwrap();
-        assert_eq!(bytes, framed(&Value::text("ssn-0")));
+        let id = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
+        assert_eq!(id.bytes(&t, 0), framed(&Value::text("ssn-0")));
     }
 
     #[test]
     fn identity_from_virtual_key() {
         let t = table();
         let id = TupleIdentity::VirtualKey(vec!["age".into(), "doctor".into()]);
-        let first = t.iter().next().unwrap();
-        let bytes = id.bytes(&t, &first).unwrap();
+        let bytes = id.resolve(t.schema()).unwrap().bytes(&t, 0);
         let mut expected = framed(&Value::int(30));
         expected.extend_from_slice(&framed(&Value::text("Surgeon")));
         assert_eq!(bytes, expected);
         // Unknown virtual column is an error.
         let bad = TupleIdentity::VirtualKey(vec!["nope".into()]);
-        assert!(bad.bytes(&t, &first).is_err());
+        assert!(bad.resolve(t.schema()).is_err());
         // Empty virtual key is rejected.
         let empty = TupleIdentity::VirtualKey(vec![]);
-        assert!(matches!(empty.bytes(&t, &first), Err(WatermarkError::NoIdentity)));
+        assert!(matches!(empty.resolve(t.schema()), Err(WatermarkError::NoIdentity)));
     }
 
     #[test]
@@ -245,8 +238,6 @@ mod tests {
             dup.resolve(t.schema()),
             Err(WatermarkError::DuplicateIdentityColumn(c)) if c == "age"
         ));
-        let first = t.iter().next().unwrap();
-        assert!(dup.bytes(&t, &first).is_err());
     }
 
     #[test]
@@ -274,7 +265,7 @@ mod tests {
             t.insert(vec![a, b]).unwrap();
         }
         let resolved = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
-        let identities: Vec<Vec<u8>> = t.iter().map(|tp| resolved.bytes(&tp)).collect();
+        let identities: Vec<Vec<u8>> = (0..t.len()).map(|row| resolved.bytes(&t, row)).collect();
         for i in 0..identities.len() {
             for j in (i + 1)..identities.len() {
                 assert_ne!(
@@ -291,8 +282,10 @@ mod tests {
         let id = TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]);
         let resolved = id.resolve(t.schema()).unwrap();
         assert_eq!(resolved.indices(), &[2, 1]);
-        for tuple in t.iter() {
-            assert_eq!(resolved.bytes(&tuple), id.bytes(&t, &tuple).unwrap());
+        for row in 0..t.len() {
+            let mut expected = framed(&t.value_at(row, 2).unwrap());
+            expected.extend_from_slice(&framed(&t.value_at(row, 1).unwrap()));
+            assert_eq!(resolved.bytes(&t, row), expected);
         }
     }
 
@@ -302,8 +295,7 @@ mod tests {
         let mut t = Table::new(schema);
         t.insert(vec![Value::int(1)]).unwrap();
         let id = TupleIdentity::IdentifyingColumns;
-        let first = t.iter().next().unwrap();
-        assert!(matches!(id.bytes(&t, &first), Err(WatermarkError::NoIdentity)));
+        assert!(matches!(id.resolve(t.schema()), Err(WatermarkError::NoIdentity)));
     }
 
     #[test]
