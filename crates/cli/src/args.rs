@@ -1,12 +1,15 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line options: a map from flag name (without the leading
 /// dashes) to value.
 #[derive(Debug, Default, Clone)]
 pub struct Options {
     values: BTreeMap<String, String>,
+    /// Every flag name looked up so far, for [`Options::reject_unread`].
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Options {
@@ -24,31 +27,47 @@ impl Options {
             };
             values.insert(name.to_string(), value.clone());
         }
-        Ok(Options { values })
+        Ok(Options { values, read: RefCell::default() })
+    }
+
+    /// Look a flag up, recording that the command reads it.
+    fn lookup(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name)
+    }
+
+    /// Fail on the first given flag that no lookup has asked for, naming
+    /// it: called once a command has read all its flags, it turns a
+    /// misspelt or retired flag into an error instead of a silent default.
+    pub fn reject_unread(&self, command: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.values.keys().find(|name| !read.contains(*name)) {
+            Some(name) => Err(format!("{command} does not take the flag --{name}")),
+            None => Ok(()),
+        }
     }
 
     /// A required string option.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
+        self.lookup(name)
             .map(String::as_str)
             .ok_or_else(|| format!("missing required flag --{name}"))
     }
 
     /// An optional string option with a default.
     pub fn string_or(&self, name: &str, default: &str) -> String {
-        self.values.get(name).cloned().unwrap_or_else(|| default.to_string())
+        self.lookup(name).cloned().unwrap_or_else(|| default.to_string())
     }
 
     /// An optional string option with no default (`None` when the flag was
     /// not given).
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.lookup(name).map(String::as_str)
     }
 
     /// An optional parsed option with a default.
     pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
+        match self.lookup(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("flag --{name} has an invalid value: {v}")),
         }

@@ -35,8 +35,7 @@ USAGE:
                      [--accomplices COPY1.csv,COPY2.csv] --out ATTACKED.csv
   medshield serve    [--addr HOST:PORT] [--threads N] [--queue-depth D]
                      [--engine-threads N] [--request-timeout-ms MS]
-                     [--batch-max N] [--max-connections N]
-                     [--per-attribute true|false]
+                     [--max-connections N]
                      [--k K] [--eta ETA] [--enc-secret S1] [--wm-secret S2]
                      [--mark-from-statistic true]
                      [--data-dir DIR] [--snapshot-every N]
@@ -58,7 +57,9 @@ engines answering in parallel behind a bounded queue of depth --queue-depth.
 --data-dir DIR makes the release store durable (write-ahead log + snapshots
 under DIR): stored releases and their ids survive restarts and even a SIGKILL,
 and a protect reply is only sent once its record is fsynced. --snapshot-every N
-compacts the log after every N stored releases (0 = log only).";
+compacts the log after every N stored releases (0 = log only). A protect
+request picks its binning mode with its own per-attribute parameter; `serve`
+refuses any flag it does not take.";
 
 fn read_table(path: &str) -> Result<Table, String> {
     // The schema roles are the serving layer's: both front ends must import
@@ -313,9 +314,9 @@ pub fn attack(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the serving-layer configuration from the command-line options.
-/// Split from [`serve`] so tests can exercise the parsing without binding a
-/// socket.
+/// Build the serving-layer configuration from the command-line options,
+/// refusing any flag it does not read. Split from [`serve`] so tests can
+/// exercise the parsing without binding a socket.
 pub(crate) fn serve_config_from(
     options: &Options,
 ) -> Result<(medshield_serve::ServeConfig, String), String> {
@@ -329,13 +330,12 @@ pub(crate) fn serve_config_from(
         request_timeout: std::time::Duration::from_millis(
             options.parse_or("request-timeout-ms", 30_000u64)?,
         ),
-        batch_max: options.parse_or("batch-max", 8)?,
         max_connections: options.parse_or("max-connections", defaults.max_connections)?,
-        per_attribute_default: options.parse_or("per-attribute", true)?,
         data_dir: options.get("data-dir").map(std::path::PathBuf::from),
         snapshot_every: options.parse_or("snapshot-every", defaults.snapshot_every)?,
         ..defaults
     };
+    options.reject_unread("serve")?;
     Ok((config, addr))
 }
 
@@ -575,6 +575,50 @@ mod tests {
         );
         assert_eq!(config.snapshot_every, 17);
         assert!(serve_config_from(&opts(&[("snapshot-every", "lots")])).is_err());
+    }
+
+    #[test]
+    fn serve_refuses_flags_it_does_not_read() {
+        for (flag, value) in [("theads", "4"), ("batch-max", "8"), ("per-attribute", "true")] {
+            let err = serve_config_from(&opts(&[("threads", "2"), (flag, value)])).unwrap_err();
+            assert!(err.contains(&format!("--{flag}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn serve_accepts_the_flag_sets_of_the_benchmark_and_the_kill_test() {
+        // The service benchmark's launch flags (plus the --data-dir it adds).
+        let (config, addr) = serve_config_from(&opts(&[
+            ("addr", "127.0.0.1:0"),
+            ("threads", "2"),
+            ("k", "10"),
+            ("epsilon", "2"),
+            ("eta", "5"),
+            ("duplication", "2"),
+            ("mark-len", "128"),
+            ("mark-text", "medbench-owner"),
+            ("mark-from-statistic", "false"),
+            ("enc-secret", "medbench-enc"),
+            ("wm-secret", "medbench-wm"),
+            ("snapshot-every", "32"),
+            ("data-dir", "/tmp/medbench-store"),
+        ]))
+        .unwrap();
+        assert_eq!(addr, "127.0.0.1:0");
+        assert_eq!((config.workers, config.snapshot_every), (2, 32));
+        // The SIGKILL recovery test's launch flags.
+        let (config, _) = serve_config_from(&opts(&[
+            ("addr", "127.0.0.1:0"),
+            ("data-dir", "/tmp/medshield-kill"),
+            ("snapshot-every", "100000"),
+            ("threads", "2"),
+            ("k", "4"),
+            ("eta", "5"),
+            ("duplication", "2"),
+            ("mark-from-statistic", "true"),
+        ]))
+        .unwrap();
+        assert!(config.engine.mark_from_statistic);
     }
 
     #[test]

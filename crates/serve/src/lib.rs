@@ -5,8 +5,8 @@
 //! Hospitals submit relations over a length-framed protocol, the binning and
 //! watermarking agents protect them, and detection / ownership disputes are
 //! resolved on demand against the server's release store — with per-request
-//! setup (engines, key schedules, domain hierarchy trees, detection plans)
-//! amortized across many small submissions.
+//! setup (engines, key schedules, domain hierarchy trees) amortized across
+//! many small submissions.
 //!
 //! * [`protocol`] — the length-framed wire format (normative spec:
 //!   `docs/PROTOCOL.md`): a 4-byte big-endian prefix, an 8-byte request id
@@ -16,8 +16,8 @@
 //! * [`server`] — a non-blocking I/O core (readiness loop owning every
 //!   socket), bounded request queue, worker pool (one
 //!   [`ProtectionEngine`](medshield_core::ProtectionEngine) per worker),
-//!   micro-batching of small `detect` requests, per-request queue deadlines,
-//!   structured error replies and graceful shutdown.
+//!   per-request queue deadlines, structured error replies and graceful
+//!   shutdown.
 //! * [`store`] — the release store behind the [`ReleaseStore`] trait: the
 //!   in-memory default, and the durable WAL + snapshot store
 //!   ([`DurableStore`]) that survives a hard kill — enabled with

@@ -39,19 +39,17 @@
 //! * Each **worker** owns one [`ProtectionEngine`] built at startup — the
 //!   binning agent (with its AES key schedule), the watermarker and the
 //!   domain hierarchy trees are reused across every request the worker
-//!   serves, which is what amortizes per-request setup. Small `detect`
-//!   requests are **micro-batched**: a worker drains up to
-//!   [`ServeConfig::batch_max`] consecutive small detects in one queue
-//!   wake-up and shares one detection plan per release across the batch —
-//!   with pipelined clients, many connections' small detects coalesce
-//!   into one plan.
+//!   serves, which is what amortizes per-request setup. Every queued job
+//!   takes the same route: pop, queue-deadline check, the handler under a
+//!   panic guard, the durability barrier, reply.
 //! * The **release store** ([`crate::store`]) retains what the data holder
 //!   keeps after `protect` (per-column binning state, the mark, the
 //!   ownership proof) so later `detect` / `resolve-ownership` calls need
 //!   only name the release. With [`ServeConfig::data_dir`] set the store is
 //!   the durable WAL + snapshot [`DurableStore`]: a `protect` reply is
-//!   released only after its release record is fsynced (one group-commit
-//!   sync per mutating queue drain), and on restart recovery replays the
+//!   released only after its release record is fsynced (one sync per
+//!   successful `protect` reply, the fsync shared by group commit across
+//!   workers syncing at the same time), and on restart recovery replays the
 //!   log, truncates a torn tail and restores the next release id so ids
 //!   handed to clients are never reused.
 //!
@@ -68,7 +66,7 @@ use crate::store::{
     lock_unpoisoned, DurableStore, MemoryStore, ReleaseStore, StoreError, StoredRecipient,
     StoredRelease,
 };
-use medshield_core::{PipelineError, ProtectedRelease, ProtectionConfig, ProtectionEngine};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::ontology;
 use medshield_dht::DomainHierarchyTree;
 use medshield_metrics::mark_loss;
@@ -122,19 +120,10 @@ pub struct ServeConfig {
     /// a `timeout` error instead of being processed. (Processing itself is
     /// not preempted; the deadline bounds queue wait.)
     pub request_timeout: Duration,
-    /// Upper bound on how many small `detect` requests one worker drains
-    /// per queue wake-up (micro-batching). 1 disables batching.
-    pub batch_max: usize,
-    /// Body-size bound (bytes) under which a `detect` request counts as
-    /// "small" and may join a micro-batch.
-    pub batch_small_bytes: usize,
     /// Most connections the I/O core keeps open at once. A connection
     /// accepted past the limit is sent one structured `connection-limit`
     /// error frame (best effort) and closed. Zero is rejected.
     pub max_connections: usize,
-    /// Default binning mode when a `protect` request does not say
-    /// (`per-attribute=true|false`): per-attribute matches the CLI default.
-    pub per_attribute_default: bool,
     /// Directory for the durable release store (WAL + snapshots). `None`
     /// keeps releases in memory — the default, and what tests use. Set, the
     /// server recovers every previously stored release on startup and a
@@ -159,10 +148,7 @@ impl Default for ServeConfig {
             queue_depth: 64,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             request_timeout: Duration::from_secs(30),
-            batch_max: 8,
-            batch_small_bytes: 64 * 1024,
             max_connections: 1024,
-            per_attribute_default: true,
             data_dir: None,
             snapshot_every: 256,
             debug_hooks: false,
@@ -200,20 +186,14 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Counters exposed by `ping` (and useful to tests).
-#[derive(Debug, Default)]
-struct Counters {
-    served: AtomicU64,
-    batched_detects: AtomicU64,
-}
-
 /// State shared by the acceptor, connections and workers.
 struct Shared {
     config: ServeConfig,
     trees: BTreeMap<String, DomainHierarchyTree>,
     store: Box<dyn ReleaseStore>,
     shutdown: AtomicBool,
-    counters: Counters,
+    /// Requests answered by a worker since startup, reported by `ping`.
+    served: AtomicU64,
 }
 
 /// How a reply is correlated back to its request on the wire.
@@ -257,8 +237,7 @@ impl Job {
 }
 
 /// A bounded MPMC queue: `try_push` fails fast when full (back-pressure),
-/// `pop_batch` blocks until work arrives and opportunistically drains a
-/// micro-batch of consecutive jobs matching a predicate.
+/// `pop` blocks until work arrives.
 struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
     not_empty: Condvar,
@@ -298,47 +277,21 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Block (up to `timeout`) for at least one item; when the first item
-    /// matches `batch`, keep draining immediately-available matching items
-    /// up to `max`. Returns `None` once the queue is closed **and** drained
-    /// (workers exit), `Some(vec![])` on a timeout tick.
-    fn pop_batch(
-        &self,
-        max: usize,
-        timeout: Duration,
-        batch: impl Fn(&T) -> bool,
-    ) -> Option<Vec<T>> {
+    /// Block until an item arrives. Returns `None` once the queue is
+    /// closed **and** drained (workers exit); `close` wakes every waiter.
+    fn pop(&self) -> Option<T> {
         let mut inner = lock_unpoisoned(&self.inner);
-        while inner.items.is_empty() {
+        loop {
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
+            }
             if inner.closed {
                 return None;
             }
             // Poison recovery mirrors `lock_unpoisoned`: the queue is a
             // plain deque + flag, consistent after any panic.
-            let (guard, wait) =
-                self.not_empty.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            if wait.timed_out() && inner.items.is_empty() {
-                return if inner.closed { None } else { Some(Vec::new()) };
-            }
+            inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
-        let Some(first) = inner.items.pop_front() else {
-            // Unreachable: the wait loop above only exits with a non-empty
-            // queue — but an empty batch is a safe answer if it ever isn't.
-            return Some(Vec::new());
-        };
-        let batchable = batch(&first);
-        let mut out = vec![first];
-        while batchable && out.len() < max {
-            if !inner.items.front().is_some_and(&batch) {
-                break;
-            }
-            match inner.items.pop_front() {
-                Some(next) => out.push(next),
-                None => break,
-            }
-        }
-        Some(out)
     }
 
     fn close(&self) {
@@ -421,9 +374,6 @@ pub fn serve(config: ServeConfig, addr: impl ToSocketAddrs) -> Result<ServeHandl
     if config.queue_depth == 0 {
         return Err(ServeError::InvalidConfig("queue depth must be at least 1".into()));
     }
-    if config.batch_max == 0 {
-        return Err(ServeError::InvalidConfig("batch max must be at least 1".into()));
-    }
     if config.max_connections == 0 {
         return Err(ServeError::InvalidConfig("max connections must be at least 1".into()));
     }
@@ -449,7 +399,7 @@ pub fn serve(config: ServeConfig, addr: impl ToSocketAddrs) -> Result<ServeHandl
         trees: ontology::all_trees(),
         store,
         shutdown: AtomicBool::new(false),
-        counters: Counters::default(),
+        served: AtomicU64::new(0),
         config,
     });
     let queue = Arc::new(BoundedQueue::new(shared.config.queue_depth));
@@ -913,11 +863,7 @@ impl IoCore {
                 ("connections", self.conns.len().into()),
                 ("releases", shared.store.len().into()),
                 ("durable", shared.store.is_durable().into()),
-                ("served", Json::Int(shared.counters.served.load(Ordering::Relaxed) as i64)),
-                (
-                    "batched_detects",
-                    Json::Int(shared.counters.batched_detects.load(Ordering::Relaxed) as i64),
-                ),
+                ("served", Json::Int(shared.served.load(Ordering::Relaxed) as i64)),
             ],
             None,
         )
@@ -936,86 +882,40 @@ fn refuse_connection(mut stream: TcpStream) {
     }
 }
 
+/// Answer queued jobs until the queue is closed and drained. Every job
+/// takes the same route: queue deadline, handler under the panic guard,
+/// durability barrier, reply.
 fn worker_loop(shared: &Arc<Shared>, queue: &Arc<BoundedQueue<Job>>, engine: &ProtectionEngine) {
-    let small = shared.config.batch_small_bytes;
-    let is_small_detect =
-        |job: &Job| job.request.command == Command::Detect && job.request.body.len() <= small;
-    loop {
-        let Some(batch) =
-            queue.pop_batch(shared.config.batch_max, Duration::from_millis(100), is_small_detect)
-        else {
-            break; // closed and drained
-        };
-        if batch.is_empty() {
-            continue; // timeout tick; loop re-checks for closure
-        }
-        process_batch(shared, engine, batch);
-    }
-}
-
-/// Answer every job of a drained batch. Detect jobs that share a release
-/// also share one detection plan (the batching win); everything else is
-/// handled one by one in pop order.
-fn process_batch(shared: &Arc<Shared>, engine: &ProtectionEngine, batch: Vec<Job>) {
-    let detect_batch =
-        batch.len() > 1 && batch.iter().all(|j| j.request.command == Command::Detect);
-    if detect_batch {
-        shared.counters.batched_detects.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-    // Group consecutive same-release detects so one plan serves the group.
-    let mut pending: Vec<Job> = Vec::new();
-    let mut pending_release: Option<String> = None;
-    let flush = |jobs: &mut Vec<Job>| {
-        if jobs.is_empty() {
-            return;
-        }
-        let group = std::mem::take(jobs);
-        handle_detect_group(shared, engine, group);
-    };
-    for job in batch {
+    while let Some(job) = queue.pop() {
         if expired(shared, &job) {
             continue;
         }
-        if job.request.command == Command::Detect {
-            let release = job.request.params.get("release").cloned().unwrap_or_default();
-            if pending_release.as_deref() != Some(release.as_str()) {
-                flush(&mut pending);
-                pending_release = Some(release);
+        let mut response = guarded(shared, engine, &job);
+        // Durability barrier: a *successful* protect reply leaves the worker
+        // only after its release record is fsynced (group commit shares the
+        // fsync with concurrently syncing workers). A protect that failed
+        // before appending — malformed CSV, engine rejection — has nothing
+        // to sync and keeps its own error. The in-memory store's sync is a
+        // no-op.
+        if matches!(job.request.command, Command::Protect | Command::ProtectFor) && response.is_ok()
+        {
+            if let Err(e) = shared.store.sync() {
+                // The durable store fail-stops on an fsync failure: whether
+                // this record reached disk is unknowable until a restart
+                // replays the log, and no further protect will be accepted —
+                // say so instead of claiming the release was stored.
+                response = error_response(
+                    ErrorCode::Storage,
+                    &format!(
+                        "durability of the release is unconfirmed and the store has \
+                         fail-stopped; restart the server and re-check before retrying: {e}"
+                    ),
+                );
             }
-            pending.push(job);
-        } else {
-            flush(&mut pending);
-            pending_release = None;
-            let mut response = guarded(shared, engine, &job);
-            // Durability barrier, batched per queue drain: a *successful*
-            // protect reply leaves the worker only after its release record
-            // is fsynced (group commit shares the fsync with concurrently
-            // draining workers). A protect that failed before appending —
-            // malformed CSV, engine rejection — has nothing to sync and
-            // keeps its own error. The in-memory store's sync is a no-op.
-            if matches!(job.request.command, Command::Protect | Command::ProtectFor)
-                && response.is_ok()
-            {
-                if let Err(e) = shared.store.sync() {
-                    // The durable store fail-stops on an fsync failure:
-                    // whether this record reached disk is unknowable until a
-                    // restart replays the log, and no further protect will
-                    // be accepted — say so instead of claiming the release
-                    // was stored.
-                    response = error_response(
-                        ErrorCode::Storage,
-                        &format!(
-                            "durability of the release is unconfirmed and the store has \
-                             fail-stopped; restart the server and re-check before retrying: {e}"
-                        ),
-                    );
-                }
-            }
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            job.respond(response);
         }
+        shared.served.fetch_add(1, Ordering::Relaxed);
+        job.respond(response);
     }
-    flush(&mut pending);
 }
 
 /// Reply `timeout` (and consume the job) when it overstayed its queue
@@ -1036,97 +936,12 @@ fn expired(shared: &Arc<Shared>, job: &Job) -> bool {
     true
 }
 
-/// Run one non-detect job with a panic guard: a served endpoint must never
-/// take the worker down, whatever the submission.
+/// Run one job with a panic guard: a served endpoint must never take the
+/// worker down, whatever the submission.
 fn guarded(shared: &Arc<Shared>, engine: &ProtectionEngine, job: &Job) -> Response {
     catch_unwind(AssertUnwindSafe(|| handle_request(shared, engine, &job.request))).unwrap_or_else(
         |_| error_response(ErrorCode::Engine, "internal error: the request handler panicked"),
     )
-}
-
-/// Handle a group of consecutive `detect` jobs naming the same release:
-/// resolve the release once, build one detection plan, run every suspect
-/// table against it.
-fn handle_detect_group(shared: &Arc<Shared>, engine: &ProtectionEngine, group: Vec<Job>) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| detect_group_responses(shared, engine, &group)));
-    let responses = outcome.unwrap_or_else(|_| {
-        group
-            .iter()
-            .map(|_| {
-                error_response(ErrorCode::Engine, "internal error: the detect handler panicked")
-            })
-            .collect()
-    });
-    debug_assert_eq!(responses.len(), group.len());
-    for (job, response) in group.iter().zip(responses) {
-        shared.counters.served.fetch_add(1, Ordering::Relaxed);
-        job.respond(response);
-    }
-}
-
-fn detect_group_responses(
-    shared: &Arc<Shared>,
-    engine: &ProtectionEngine,
-    group: &[Job],
-) -> Vec<Response> {
-    // Resolve the release once for the whole group.
-    let Some(first) = group.first() else {
-        return Vec::new();
-    };
-    let stored = match release_param(shared, &first.request) {
-        Ok(stored) => stored,
-        Err(response) => return group.iter().map(|_| response.clone()).collect(),
-    };
-    let mark_len = engine.config().mark_len;
-    let mut plan_schema: Option<medshield_relation::Schema> = None;
-    let mut responses = Vec::with_capacity(group.len());
-    // Parse all bodies first so the plan can be built from the first valid
-    // schema and shared across every suspect that matches it.
-    let tables: Vec<Result<Table, Response>> = group
-        .iter()
-        .map(|job| {
-            csv::from_csv(&job.request.body, &MEDICAL_ROLES).map_err(|e| {
-                error_response(ErrorCode::MalformedCsv, &format!("cannot parse the CSV body: {e}"))
-            })
-        })
-        .collect();
-    let first_valid = tables.iter().find_map(|t| t.as_ref().ok());
-    let plan = first_valid.and_then(|table| {
-        let plan = engine
-            .watermarker()
-            .plan_detect(table.schema(), &stored.columns, &shared.trees, mark_len)
-            .ok()?;
-        plan_schema = Some(table.schema().clone());
-        Some(plan)
-    });
-    for table in &tables {
-        let table = match table {
-            Ok(table) => table,
-            Err(response) => {
-                responses.push(response.clone());
-                continue;
-            }
-        };
-        // The shared plan applies when the suspect's schema matches the one
-        // it was built from; otherwise fall back to the engine's own path.
-        // The per-suspect detect kernel memoizes each distinct cell value's
-        // tree walk, so every suspect still pays only one PRF per selected
-        // (tuple, column).
-        let report: Result<DetectionReport, PipelineError> = match (&plan, &plan_schema) {
-            (Some(plan), Some(schema)) if table.schema() == schema && !table.is_empty() => engine
-                .watermarker()
-                .prepare_detect(plan, table)
-                .and_then(|kernel| kernel.run_range(plan, table, 0..table.len()))
-                .map(|tally| tally.into_report(mark_len))
-                .map_err(PipelineError::Watermark),
-            _ => engine.detect(table, &stored.columns, &shared.trees),
-        };
-        responses.push(match report {
-            Ok(report) => detect_response(&stored, table.len(), &report),
-            Err(e) => error_response(ErrorCode::Engine, &e.to_string()),
-        });
-    }
-    responses
 }
 
 fn detect_response(stored: &StoredRelease, rows: usize, report: &DetectionReport) -> Response {
@@ -1145,7 +960,7 @@ fn detect_response(stored: &StoredRelease, rows: usize, report: &DetectionReport
     )
 }
 
-/// Handle one non-detect request on a worker.
+/// Handle one request on a worker.
 fn handle_request(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Request) -> Response {
     match request.command {
         Command::Protect => handle_protect(shared, engine, request),
@@ -1154,8 +969,6 @@ fn handle_request(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Req
         Command::ResolveLeaker => handle_resolve_leaker(shared, engine, request),
         Command::Embed => handle_embed(shared, engine, request),
         Command::Detect => {
-            // A detect that arrives here was not batched; run it as its own
-            // group of one.
             let stored = match release_param(shared, request) {
                 Ok(stored) => stored,
                 Err(response) => return response,
@@ -1314,7 +1127,8 @@ fn protect_body(
     request: &Request,
 ) -> Result<ProtectedRelease, Response> {
     let table = parse_body(request)?;
-    let per_attribute = param(request, "per-attribute", shared.config.per_attribute_default)?;
+    // Per-attribute binning unless the request asks otherwise, as in the CLI.
+    let per_attribute = param(request, "per-attribute", true)?;
     let result = if per_attribute {
         engine.protect_per_attribute(&table, &shared.trees)
     } else {
@@ -1602,35 +1416,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bounded_queue_applies_backpressure_and_batches() {
+    fn bounded_queue_pops_in_order_and_drains_after_close() {
         let q: BoundedQueue<u32> = BoundedQueue::new(2);
         q.try_push(1).ok().unwrap();
         q.try_push(2).ok().unwrap();
         assert!(matches!(q.try_push(3), Err(TryPushError::Full(3))));
-        // Batch drain of matching items.
-        let batch = q.pop_batch(8, Duration::from_millis(10), |_| true).unwrap();
-        assert_eq!(batch, vec![1, 2]);
-        // Timeout tick on an empty open queue.
-        assert_eq!(q.pop_batch(8, Duration::from_millis(10), |_| true), Some(vec![]));
+        assert_eq!(q.pop(), Some(1));
+        q.try_push(3).ok().unwrap();
         q.close();
         assert!(matches!(q.try_push(4), Err(TryPushError::Closed(4))));
-        assert_eq!(q.pop_batch(8, Duration::from_millis(10), |_| true), None);
+        // Closing refuses new items but hands out the queued ones first.
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn bounded_queue_batches_only_consecutive_matches() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(8);
-        for item in [2, 4, 5, 6] {
-            q.try_push(item).ok().unwrap();
-        }
-        // First item even → drain even prefix only.
-        let batch = q.pop_batch(8, Duration::from_millis(10), |n| n % 2 == 0).unwrap();
-        assert_eq!(batch, vec![2, 4]);
-        // Odd head is popped alone even though an even item follows.
-        let batch = q.pop_batch(8, Duration::from_millis(10), |n| n % 2 == 0).unwrap();
-        assert_eq!(batch, vec![5]);
-        let batch = q.pop_batch(8, Duration::from_millis(10), |n| n % 2 == 0).unwrap();
-        assert_eq!(batch, vec![6]);
+    fn close_wakes_a_worker_blocked_on_an_empty_queue() {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let _ = done_tx.send(q.pop());
+            })
+        };
+        // Give the waiter time to block in `pop` before closing.
+        thread::sleep(Duration::from_millis(50));
+        q.close();
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(None));
+        waiter.join().unwrap();
     }
 
     #[test]

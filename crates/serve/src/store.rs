@@ -154,9 +154,9 @@ pub trait ReleaseStore: Send + Sync {
     ) -> Result<Option<Arc<StoredRelease>>, StoreError>;
 
     /// Make every release appended so far durable. Called by the server
-    /// once per mutating queue drain *before* the `protect` or `protect-for`
-    /// reply is released; concurrent callers share one fsync (group
-    /// commit). A no-op for in-memory stores.
+    /// after each successful `protect` or `protect-for`, *before* its reply
+    /// is released; concurrent callers share one fsync (group commit). A
+    /// no-op for in-memory stores.
     fn sync(&self) -> Result<(), StoreError>;
 
     /// The release with the given id, if stored.
