@@ -15,7 +15,7 @@
 //! dictionary length.
 
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A dictionary-encoded column: the distinct values interned once, plus one
 /// dense code per row.
@@ -59,13 +59,28 @@ impl DictColumn {
     /// dictionary of 2^32 distinct values would need hundreds of gigabytes,
     /// so the code-width saturation below is unreachable in practice.
     pub fn intern(&mut self, value: &Value) -> u32 {
-        if let Some(&code) = self.index.get(value) {
-            return code;
+        match self.index.get(value) {
+            Some(&code) => code,
+            None => self.intern_owned(value.clone()),
         }
-        let code = u32::try_from(self.dict.len()).unwrap_or(u32::MAX);
-        self.dict.push(value.clone());
-        self.index.insert(value.clone(), code);
-        code
+    }
+
+    /// [`DictColumn::intern`] for a value the caller owns, so a new entry is
+    /// cloned once rather than twice.
+    pub(crate) fn intern_owned(&mut self, value: Value) -> u32 {
+        match self.index.entry(value) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let code = u32::try_from(self.dict.len()).unwrap_or(u32::MAX);
+                self.dict.push(entry.key().clone());
+                *entry.insert(code)
+            }
+        }
+    }
+
+    /// Append a row holding an already-interned `code`.
+    pub(crate) fn push_code(&mut self, code: u32) {
+        self.codes.push(code);
     }
 
     /// Append a row holding `value`.

@@ -26,7 +26,8 @@
 //! * [`stats`] — per-column statistics (value counts, one-pass min/max/
 //!   distinct, bin sizes, group-by over quasi-identifier combinations) used
 //!   by the metrics crate.
-//! * [`csv`] — plain-text import/export for inspection of generated data.
+//! * [`csv`] — the CSV codec of request and reply bodies, parsing straight
+//!   into columns and encoding from the dictionaries.
 //!
 //! ```
 //! use medshield_relation::{ColumnDef, ColumnRole, Schema, Table, Value};

@@ -45,6 +45,14 @@ impl Table {
         Table { schema, ids: Vec::new(), columns, next_id: 0 }
     }
 
+    /// A table over finished columns of equal length, with ids assigned in
+    /// row order as [`Table::insert`] would have.
+    pub(crate) fn from_columns(schema: Schema, columns: Vec<Column>) -> Self {
+        let rows = columns.first().map_or(0, Column::len);
+        let next_id = u64::try_from(rows).unwrap_or(u64::MAX);
+        Table { schema, ids: (0..next_id).map(TupleId).collect(), columns, next_id }
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
