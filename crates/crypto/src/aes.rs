@@ -109,7 +109,7 @@ impl Aes128 {
             if i % 4 == 0 {
                 temp.rotate_left(1);
                 for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
+                    *b = SBOX[usize::from(*b)];
                 }
                 temp[0] ^= RCON[i / 4];
             }
@@ -221,7 +221,8 @@ impl Aes128 {
     /// Encoding: an 8-byte big-endian length prefix followed by the value,
     /// zero-padded to a multiple of 16 bytes, ECB-encrypted, hex-encoded.
     pub fn encrypt_value(&self, value: &[u8]) -> String {
-        let mut plain = Vec::with_capacity(8 + value.len() + BLOCK_LEN);
+        let mut plain = Vec::with_capacity(value.len().saturating_add(8 + BLOCK_LEN));
+        // medlint::allow(checked-framing, usize is at most 64 bits wide on every supported target, so the cast is lossless)
         plain.extend_from_slice(&(value.len() as u64).to_be_bytes());
         plain.extend_from_slice(value);
         while plain.len() % BLOCK_LEN != 0 {
@@ -235,16 +236,17 @@ impl Aes128 {
     pub fn decrypt_value(&self, hex_ciphertext: &str) -> Result<Vec<u8>, CryptoError> {
         let cipher = crate::hex::decode(hex_ciphertext)?;
         let plain = self.ecb_decrypt(&cipher)?;
-        if plain.len() < 8 {
+        let Some((prefix, body)) = plain.split_first_chunk::<8>() else {
             return Err(CryptoError::InvalidBlockLength { block: BLOCK_LEN, actual: plain.len() });
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&plain[..8]);
-        let len = u64::from_be_bytes(len_bytes) as usize;
-        if 8 + len > plain.len() {
-            return Err(CryptoError::InvalidHex(hex_ciphertext.to_string()));
-        }
-        Ok(plain[8..8 + len].to_vec())
+        };
+        // The prefix is whatever the key decrypts it to: under a wrong key or
+        // a forged ciphertext it can claim any length up to `u64::MAX`.
+        let declared = u64::from_be_bytes(*prefix);
+        usize::try_from(declared)
+            .ok()
+            .and_then(|len| body.get(..len))
+            .map(<[u8]>::to_vec)
+            .ok_or(CryptoError::InvalidLengthPrefix { declared, available: body.len() })
     }
 }
 
@@ -256,13 +258,13 @@ fn add_round_key(block: &mut AesBlock, rk: &[u8; BLOCK_LEN]) {
 
 fn sub_bytes(block: &mut AesBlock) {
     for b in block.iter_mut() {
-        *b = SBOX[*b as usize];
+        *b = SBOX[usize::from(*b)];
     }
 }
 
 fn inv_sub_bytes(block: &mut AesBlock) {
     for b in block.iter_mut() {
-        *b = INV_SBOX[*b as usize];
+        *b = INV_SBOX[usize::from(*b)];
     }
 }
 
@@ -404,6 +406,15 @@ mod tests {
         let cipher = Aes128::from_secret(b"key");
         assert!(cipher.decrypt_value("not-hex!").is_err());
         assert!(cipher.decrypt_value("00").is_err());
+        // A block-aligned ciphertext whose length prefix decrypts to nearly
+        // `u64::MAX` is a length error, not an overflow panic.
+        let mut forged = [0u8; 16];
+        forged[..8].copy_from_slice(&(u64::MAX - 3).to_be_bytes());
+        let forged = hex::encode(&cipher.ecb_encrypt(&forged).unwrap());
+        assert_eq!(
+            cipher.decrypt_value(&forged),
+            Err(CryptoError::InvalidLengthPrefix { declared: u64::MAX - 3, available: 8 })
+        );
     }
 
     #[test]

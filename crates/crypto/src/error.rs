@@ -20,6 +20,14 @@ pub enum CryptoError {
     },
     /// A hex string could not be decoded.
     InvalidHex(String),
+    /// A decrypted value's length prefix claims more bytes than follow it
+    /// (a forged ciphertext, or one decrypted under the wrong key).
+    InvalidLengthPrefix {
+        /// The length the prefix declares.
+        declared: u64,
+        /// The bytes that actually follow the prefix.
+        available: usize,
+    },
 }
 
 impl std::fmt::Display for CryptoError {
@@ -32,6 +40,9 @@ impl std::fmt::Display for CryptoError {
                 write!(f, "input length {actual} is not a multiple of the {block}-byte block size")
             }
             CryptoError::InvalidHex(s) => write!(f, "invalid hex string: {s}"),
+            CryptoError::InvalidLengthPrefix { declared, available } => {
+                write!(f, "length prefix {declared} exceeds the {available} bytes that follow it")
+            }
         }
     }
 }
@@ -50,6 +61,8 @@ mod tests {
         assert!(e.to_string().contains("16-byte block"));
         let e = CryptoError::InvalidHex("zz".into());
         assert!(e.to_string().contains("zz"));
+        let e = CryptoError::InvalidLengthPrefix { declared: 99, available: 8 };
+        assert!(e.to_string().contains("99 exceeds the 8 bytes"));
     }
 
     #[test]

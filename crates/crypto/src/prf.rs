@@ -6,28 +6,19 @@
 //! * permutation index — `H(ti.ident, k2) mod |S|`,
 //! * mark-bit index — `H(ti.ident, k2) mod |wmd|`.
 //!
-//! [`KeyedPrf`] wraps HMAC over the chosen hash and exposes exactly those
-//! operations, taking care of the bytes→integer reduction in one place so the
+//! [`KeyedPrf`] wraps HMAC-SHA-256 and exposes exactly those operations,
+//! taking care of the bytes→integer reduction in one place so the
 //! distribution assumptions of the paper (§6: "the use of hash function in the
 //! suitability selection step renders a uniform culling") hold everywhere.
 
 use crate::hmac::HmacKey;
-use crate::HashAlgorithm;
 
-/// Which keyed-hash construction backs the PRF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrfAlgorithm {
-    /// HMAC over the hash algorithm named by the paper (MD5/SHA-1) or SHA-256.
-    Hmac(HashAlgorithm),
+/// The big-endian `u128` in the first sixteen bytes of a digest.
+fn leading_u128(digest: &[u8; 32]) -> u128 {
+    u128::from_be_bytes(std::array::from_fn(|i| digest[i]))
 }
 
-impl Default for PrfAlgorithm {
-    fn default() -> Self {
-        PrfAlgorithm::Hmac(HashAlgorithm::Sha256)
-    }
-}
-
-/// A keyed PRF mapping byte strings to uniformly distributed `u64` values.
+/// A keyed PRF mapping byte strings to uniformly distributed integers.
 ///
 /// The HMAC ipad/opad key schedule is run once at construction and cached
 /// ([`HmacKey`]), so per-message derivations cost two midstate clones rather
@@ -35,59 +26,31 @@ impl Default for PrfAlgorithm {
 /// loops, where messages are short tuple identifiers.
 #[derive(Debug, Clone)]
 pub struct KeyedPrf {
-    algorithm: PrfAlgorithm,
     hmac: HmacKey,
 }
 
 impl KeyedPrf {
-    /// Create a PRF with the default algorithm (HMAC-SHA-256).
+    /// Create an HMAC-SHA-256 PRF under `key`.
     pub fn new(key: impl AsRef<[u8]>) -> Self {
-        Self::with_algorithm(key, PrfAlgorithm::default())
-    }
-
-    /// Create a PRF with an explicit algorithm.
-    pub fn with_algorithm(key: impl AsRef<[u8]>, algorithm: PrfAlgorithm) -> Self {
-        let hmac = match algorithm {
-            PrfAlgorithm::Hmac(h) => HmacKey::new(h, key.as_ref()),
-        };
-        KeyedPrf { algorithm, hmac }
-    }
-
-    /// The algorithm backing this PRF.
-    pub fn algorithm(&self) -> PrfAlgorithm {
-        self.algorithm
+        KeyedPrf { hmac: HmacKey::new(key.as_ref()) }
     }
 
     /// The full keyed digest of `data`.
-    pub fn digest(&self, data: &[u8]) -> Vec<u8> {
+    pub fn digest(&self, data: &[u8]) -> [u8; 32] {
         self.hmac.digest(data)
     }
 
-    /// The full keyed digest of the concatenation of `parts`, streamed so the
-    /// caller never materializes the concatenated message. Byte-identical to
-    /// `digest` of the concatenation.
-    pub fn digest_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
-        self.hmac.digest_parts(parts)
-    }
-
-    /// Map `data` to a `u64` by taking the first eight bytes of the keyed
-    /// digest (big-endian). All digests produced by this crate are at least
-    /// 16 bytes, so this never truncates below eight bytes.
+    /// Map `data` to a `u64`: the first eight bytes of the keyed digest
+    /// (big-endian), i.e. the high half of [`KeyedPrf::value_wide`].
     pub fn value(&self, data: &[u8]) -> u64 {
-        let digest = self.digest(data);
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&digest[..8]);
-        u64::from_be_bytes(bytes)
+        (self.value_wide(data) >> 64) as u64
     }
 
     /// Map `data` to a `u128` from the first sixteen bytes of the keyed
     /// digest (big-endian). This is the wide value backing the modular
     /// reductions below.
     pub fn value_wide(&self, data: &[u8]) -> u128 {
-        let digest = self.digest(data);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&digest[..16]);
-        u128::from_be_bytes(bytes)
+        leading_u128(&self.digest(data))
     }
 
     /// `H(data, key) mod modulus`. Returns 0 when `modulus` is 0 (callers
@@ -146,7 +109,7 @@ impl KeyedPrf {
     /// derivation primitive behind per-recipient fingerprints: the owner key
     /// plus a recipient identity as the label yields an independent digest
     /// without storing any new key material.
-    pub fn labeled_digest(&self, label: &str, data: &[u8]) -> Vec<u8> {
+    pub fn labeled_digest(&self, label: &str, data: &[u8]) -> [u8; 32] {
         self.hmac.digest_parts(&[label.as_bytes(), &[0x1f], data])
     }
 
@@ -166,10 +129,7 @@ impl KeyedPrf {
     /// `value_wide(label ++ 0x1f ++ data)` — the parts are streamed through
     /// the cached HMAC midstate instead of concatenated.
     pub fn prefixed_value_wide(&self, prefix: &[u8], data: &[u8]) -> u128 {
-        let digest = self.digest_parts(&[prefix, data]);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&digest[..16]);
-        u128::from_be_bytes(bytes)
+        leading_u128(&self.hmac.digest_parts(&[prefix, data]))
     }
 
     /// Reduce a wide value obtained from [`KeyedPrf::value_wide`] or
@@ -197,21 +157,22 @@ mod tests {
     }
 
     #[test]
+    fn values_read_the_leading_digest_bytes() {
+        let prf = KeyedPrf::new(b"k1");
+        let digest = prf.digest(b"tuple-17");
+        let mut wide = [0u8; 16];
+        wide.copy_from_slice(&digest[..16]);
+        assert_eq!(prf.value_wide(b"tuple-17"), u128::from_be_bytes(wide));
+        let mut narrow = [0u8; 8];
+        narrow.copy_from_slice(&digest[..8]);
+        assert_eq!(prf.value(b"tuple-17"), u64::from_be_bytes(narrow));
+    }
+
+    #[test]
     fn key_separation() {
         let p1 = KeyedPrf::new(b"k1");
         let p2 = KeyedPrf::new(b"k2");
         assert_ne!(p1.value(b"tuple-17"), p2.value(b"tuple-17"));
-    }
-
-    #[test]
-    fn algorithm_separation() {
-        let a = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Md5));
-        let b = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Sha1));
-        let c = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Sha256));
-        let vals = [a.value(b"x"), b.value(b"x"), c.value(b"x")];
-        assert_ne!(vals[0], vals[1]);
-        assert_ne!(vals[1], vals[2]);
-        assert_ne!(vals[0], vals[2]);
     }
 
     #[test]
@@ -305,39 +266,28 @@ mod tests {
         // The batch kernels derive one wide value per (ident, column) via the
         // precomputed label prefix and reduce it per level; every reduction
         // must equal the per-call labeled_value_mod it replaces.
-        for algorithm in [
-            PrfAlgorithm::Hmac(HashAlgorithm::Md5),
-            PrfAlgorithm::Hmac(HashAlgorithm::Sha1),
-            PrfAlgorithm::Hmac(HashAlgorithm::Sha256),
-        ] {
-            let prf = KeyedPrf::with_algorithm(b"k2", algorithm);
-            let prefix = KeyedPrf::label_prefix("perm:diagnosis");
-            for i in 0..16u32 {
-                let ident = i.to_be_bytes();
-                let wide = prf.prefixed_value_wide(&prefix, &ident);
-                for m in [0u64, 1, 2, 3, 7, 10, 255, u64::MAX] {
-                    assert_eq!(
-                        KeyedPrf::reduce_wide(wide, m),
-                        prf.labeled_value_mod("perm:diagnosis", &ident, m)
-                    );
-                }
+        let prf = KeyedPrf::new(b"k2");
+        let prefix = KeyedPrf::label_prefix("perm:diagnosis");
+        for i in 0..16u32 {
+            let ident = i.to_be_bytes();
+            let wide = prf.prefixed_value_wide(&prefix, &ident);
+            for m in [0u64, 1, 2, 3, 7, 10, 255, u64::MAX] {
+                assert_eq!(
+                    KeyedPrf::reduce_wide(wide, m),
+                    prf.labeled_value_mod("perm:diagnosis", &ident, m)
+                );
             }
         }
     }
 
     #[test]
     fn digest_matches_naive_hmac() {
-        // KeyedPrf now caches the HMAC key schedule; its digests must stay
-        // byte-identical to the from-scratch hmac_* functions.
-        use crate::hmac::{hmac_md5, hmac_sha1, hmac_sha256};
+        // KeyedPrf caches the HMAC key schedule; its digests must stay
+        // byte-identical to the one-shot hmac_sha256.
+        use crate::hmac::hmac_sha256;
         for key in [&b"k"[..], &[0xaa; 131][..]] {
             let msg = b"tuple-ident";
-            let md5 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Md5));
-            assert_eq!(md5.digest(msg), hmac_md5(key, msg).to_vec());
-            let sha1 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Sha1));
-            assert_eq!(sha1.digest(msg), hmac_sha1(key, msg).to_vec());
-            let sha256 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Sha256));
-            assert_eq!(sha256.digest(msg), hmac_sha256(key, msg).to_vec());
+            assert_eq!(KeyedPrf::new(key).digest(msg), hmac_sha256(key, msg));
         }
     }
 

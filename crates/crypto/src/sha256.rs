@@ -76,13 +76,17 @@ impl Sha256 {
 
     /// Finish hashing and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // `update` leaves at most 63 buffered bytes. Append 0x80 and zeros;
+        // when the 8-byte length no longer fits, pad out a first block.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.process_block(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.process_block(&block);
 
         let mut out = [0u8; 32];
@@ -163,6 +167,17 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(hex::encode(&sha256(input.as_bytes())), *expected, "input {input:?}");
+        }
+        // The padding boundaries: 55 bytes is the longest message whose 0x80
+        // byte and length fit one block; 56..=63 spill into a second block.
+        let boundaries: &[(usize, &str)] = &[
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+        ];
+        for (len, expected) in boundaries {
+            assert_eq!(hex::encode(&sha256(&vec![b'a'; *len])), *expected, "\"a\" x {len}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the cryptographic primitives.
 
-use medshield_crypto::{aes::Aes128, hex, hmac, md5, sha1, sha256, HashAlgorithm, KeyedPrf};
+use medshield_crypto::{aes::Aes128, hex, hmac, sha256, HmacKey, KeyedPrf};
 use proptest::prelude::*;
 
 proptest! {
@@ -58,17 +58,25 @@ proptest! {
     #[test]
     fn streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..500),
                                  chunk in 1usize..97) {
-        let mut m = md5::Md5::new();
-        let mut s1 = sha1::Sha1::new();
-        let mut s256 = sha256::Sha256::new();
+        let mut h = sha256::Sha256::new();
         for c in data.chunks(chunk) {
-            m.update(c);
-            s1.update(c);
-            s256.update(c);
+            h.update(c);
         }
-        prop_assert_eq!(m.finalize(), md5::md5(&data));
-        prop_assert_eq!(s1.finalize(), sha1::sha1(&data));
-        prop_assert_eq!(s256.finalize(), sha256::sha256(&data));
+        prop_assert_eq!(h.finalize(), sha256::sha256(&data));
+    }
+
+    /// The cached key schedule equals the one-shot reference, for keys on
+    /// both sides of the hash-the-key branch (longer than 64 bytes or not)
+    /// and for a message streamed in two parts split anywhere.
+    #[test]
+    fn hmac_key_matches_one_shot(key in prop::collection::vec(any::<u8>(), 0..=200),
+                                 msg in prop::collection::vec(any::<u8>(), 0..200),
+                                 split in any::<usize>()) {
+        let cached = HmacKey::new(&key);
+        let expected = hmac::hmac_sha256(&key, &msg);
+        let (a, b) = msg.split_at(split % (msg.len() + 1));
+        prop_assert_eq!(cached.digest(&msg), expected);
+        prop_assert_eq!(cached.digest_parts(&[a, b]), expected);
     }
 
     /// HMAC differs between keys and between messages (no trivial collisions
@@ -93,12 +101,19 @@ proptest! {
         prop_assert_eq!(v, prf.value_mod(&data, modulus));
     }
 
-    /// All three hash algorithms produce digests of their declared length.
+    /// Decrypting a value never panics: it succeeds exactly when the
+    /// decrypted length prefix fits in the bytes that follow it.
     #[test]
-    fn digest_lengths(data in prop::collection::vec(any::<u8>(), 0..128)) {
-        for alg in [HashAlgorithm::Md5, HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
-            prop_assert_eq!(alg.digest(&data).len(), alg.digest_len());
-            prop_assert_eq!(alg.keyed_digest(b"k", &data).len(), alg.digest_len());
-        }
+    fn decrypt_value_is_total(secret in prop::collection::vec(any::<u8>(), 1..32),
+                              prefix in prop_oneof![0u64..64, any::<u64>()],
+                              tail in prop::collection::vec(any::<u8>(), 0..56)) {
+        let cipher = Aes128::from_secret(&secret);
+        let mut plain = prefix.to_be_bytes().to_vec();
+        plain.extend_from_slice(&tail);
+        plain.resize(plain.len().next_multiple_of(16), 0);
+        let available = plain.len() - 8;
+        let ciphertext = hex::encode(&cipher.ecb_encrypt(&plain).unwrap());
+        let fits = usize::try_from(prefix).is_ok_and(|len| len <= available);
+        prop_assert_eq!(cipher.decrypt_value(&ciphertext).is_ok(), fits);
     }
 }

@@ -34,6 +34,9 @@ fn in_scope(rel: &str) -> bool {
         // feeds it externally-supplied data.
         || rel == "crates/relation/src/column.rs"
         || rel == "crates/relation/src/csv.rs"
+        // The identifier ciphertext decoder reads a length prefix that a
+        // forged ciphertext or a wrong key sets to any `u64`.
+        || rel == "crates/crypto/src/aes.rs"
 }
 
 impl Rule for CheckedFraming {
@@ -173,6 +176,7 @@ mod tests {
         assert!(!diags("crates/serve/src/protocol.rs", src).is_empty());
         assert!(!diags("crates/relation/src/column.rs", src).is_empty());
         assert!(!diags("crates/relation/src/csv.rs", src).is_empty());
+        assert!(!diags("crates/crypto/src/aes.rs", src).is_empty());
     }
 
     #[test]

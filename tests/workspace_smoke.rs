@@ -13,7 +13,7 @@ fn core_reexports_every_subcrate_path_the_tests_use() {
     // and friends import, so they must keep working verbatim.
     let _: fn(&[bool], &[bool]) -> f64 = medshield_core::metrics::mark_loss;
     let _ = medshield_core::relation::Schema::medical_example();
-    let _ = medshield_core::crypto::HashAlgorithm::Sha256.digest_len();
+    let _ = medshield_core::crypto::sha256::sha256(b"smoke");
     let _ = medshield_core::dht::builder::numeric_binary_tree("x", &[(0, 10), (10, 20)]).unwrap();
     let _ = medshield_core::binning::BinningConfig::with_k(3);
     let _ = medshield_core::watermark::Mark::from_bytes(b"smoke", 8);
